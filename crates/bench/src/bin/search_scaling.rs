@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use tofu_bench::{bench_report, write_report, Json};
-use tofu_core::recursive::{partition_cached, partition_with_obs, PartitionOptions};
+use tofu_core::recursive::{partition_cached, PartitionOptions};
 use tofu_core::{SearchCaches, SearchTuning};
 use tofu_graph::Graph;
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
@@ -57,12 +57,14 @@ fn measure(
 
     let ref_obs = Collector::new();
     let t0 = Instant::now();
-    let ref_plan = partition_with_obs(g, &reference_opts, Some(&ref_obs)).expect("reference");
+    let ref_plan = partition_cached(g, &reference_opts, &SearchCaches::new(), Some(&ref_obs))
+        .expect("reference");
     let ref_seconds = t0.elapsed().as_secs_f64();
 
     let opt_obs = Collector::new();
     let t0 = Instant::now();
-    let opt_plan = partition_with_obs(g, &optimized_opts, Some(&opt_obs)).expect("optimized");
+    let opt_plan = partition_cached(g, &optimized_opts, &SearchCaches::new(), Some(&opt_obs))
+        .expect("optimized");
     let opt_seconds = t0.elapsed().as_secs_f64();
 
     // Warm row: same query against a caches object shared across the whole

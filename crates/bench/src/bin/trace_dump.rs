@@ -9,8 +9,8 @@
 //! present, and both a runtime and a sim process lane per device.
 
 use tofu_bench::feeds;
-use tofu_core::recursive::{partition_with_obs, PartitionOptions};
-use tofu_core::{generate, GenOptions, ShardedGraph};
+use tofu_core::recursive::{partition_cached, PartitionOptions};
+use tofu_core::{generate, GenOptions, SearchCaches, ShardedGraph};
 use tofu_graph::Graph;
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
 use tofu_obs::chrome::chrome_trace;
@@ -22,7 +22,7 @@ use tofu_sim::{simulate_traced, Machine};
 fn dump(tag: &str, g: &Graph, workers: usize) -> Result<String, String> {
     let obs = Collector::new();
     let opts = PartitionOptions { workers, ..Default::default() };
-    let plan = partition_with_obs(g, &opts, Some(&obs))
+    let plan = partition_cached(g, &opts, &SearchCaches::new(), Some(&obs))
         .map_err(|e| format!("{tag}: partition failed: {e}"))?;
     let sharded: ShardedGraph = generate(g, &plan, &GenOptions::default())
         .map_err(|e| format!("{tag}: generate failed: {e}"))?;

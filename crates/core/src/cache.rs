@@ -361,7 +361,7 @@ impl Drop for RequestFlightGuard<'_> {
 /// can share one instance via [`crate::recursive::partition_cached`] to
 /// also reuse plans across calls. The type is `Send + Sync`: a long-running
 /// service wraps one instance in an `Arc` and calls
-/// [`crate::recursive::partition_shared`] from many solver threads at once
+/// [`crate::recursive::partition_cached`] from many solver threads at once
 /// (see the module docs for the bit-identity argument).
 #[derive(Default)]
 pub struct SearchCaches {

@@ -409,30 +409,31 @@ pub fn search(
     extra: &ExtraInputs,
     opts: &DpOptions,
 ) -> Result<StepPlan> {
-    search_with_obs(g, view, cg, extra, opts, None)
+    search_step(g, view, cg, extra, opts, &SearchCaches::new(), None)
 }
 
-/// [`search`] that additionally reports its statistics into `obs`: running
-/// totals `dp/strategies_enumerated`, `dp/strategies_feasible`,
+/// [`search`] against caller-owned caches, on the engine
+/// [`SearchTuning::reference`] selects, reporting its statistics into `obs`:
+/// running totals `dp/strategies_enumerated`, `dp/strategies_feasible`,
 /// `dp/states_explored`, `dp/frontier_width_max`, the pruning totals
 /// `dp/prune_dominated` and `dp/prune_beam`, cache totals
 /// `cache/{strategy,plan}_{hit,miss}`, plus per-cut `dp/frontier states` and
 /// `dp/frontier width` counter samples on [`Track::search`] (frontier width
 /// = bundles crossing the cut, the quantity §5 argues stays tiny on
 /// chain-like coarsened graphs).
-pub fn search_with_obs(
+pub(crate) fn search_step(
     g: &Graph,
     view: &ShapeView,
     cg: &CoarseGraph,
     extra: &ExtraInputs,
     opts: &DpOptions,
+    caches: &SearchCaches,
     obs: Option<&Collector>,
 ) -> Result<StepPlan> {
     if opts.tuning.reference {
         unoptimized_search(g, view, cg, extra, opts, obs)
     } else {
-        let caches = SearchCaches::new();
-        search_with_caches(g, view, cg, extra, opts, &caches, obs)
+        search_with_caches(g, view, cg, extra, opts, caches, obs)
     }
 }
 
@@ -440,7 +441,7 @@ pub fn search_with_obs(
 /// differential-testing reference. Explores the full `states × combos`
 /// product at every cut with no dominance pruning, `Vec`-keyed memo maps
 /// and no cross-invocation caching. Selected by [`SearchTuning::reference`]
-/// (through [`search_with_obs`]) or called directly by tests.
+/// (through [`search`]) or called directly by tests.
 pub fn unoptimized_search(
     g: &Graph,
     view: &ShapeView,

@@ -56,10 +56,7 @@ pub use coarsen::{coarsen, CoarseGraph};
 pub use dp::{DpOptions, ExtraInputs, NodeChoice, SearchTuning, StepPlan};
 pub use error::CoreError;
 pub use genplan::{fetch_pieces, generate, CommEdge, FetchPiece, GenOptions, Region, ShardedGraph};
-pub use recursive::{
-    factorize, partition, partition_cached, partition_shared, partition_with_obs, warm_widths,
-    PartitionOptions, PartitionPlan,
-};
+pub use recursive::{factorize, partition, partition_cached, PartitionOptions, PartitionPlan};
 pub use spec::{ConcreteOut, ConcreteReq, TensorSpec};
 pub use strategies::{node_strategies, strategy_signature, NodeStrategy, ShapeView};
 

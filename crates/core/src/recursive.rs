@@ -20,10 +20,7 @@ use tofu_tensor::Shape;
 
 use crate::cache::{request_fingerprint, RequestLookup, RequestOutcome, SearchCaches};
 use crate::coarsen::{coarsen, CoarseGraph};
-use crate::dp::{
-    search_with_caches, unoptimized_search, DpOptions, ExtraInputs, NodeChoice, SearchTuning,
-    StepPlan,
-};
+use crate::dp::{search_step, DpOptions, ExtraInputs, NodeChoice, SearchTuning, StepPlan};
 use crate::error::CoreError;
 use crate::spec::{ConcreteOut, ConcreteReq, TensorSpec};
 use crate::strategies::ShapeView;
@@ -175,7 +172,7 @@ pub fn factorize(workers: usize) -> Result<Vec<usize>> {
 /// assert_eq!(plan.steps.len(), 2);
 /// ```
 pub fn partition(g: &Graph, opts: &PartitionOptions) -> Result<PartitionPlan> {
-    partition_with_obs(g, opts, None)
+    partition_uncached(g, opts, &SearchCaches::new(), None)
 }
 
 /// [`partition`] with a caller-owned [`SearchCaches`], so strategy
@@ -183,56 +180,19 @@ pub fn partition(g: &Graph, opts: &PartitionOptions) -> Result<PartitionPlan> {
 /// worker-count sweep shares every 2-way step fingerprint, and repeated
 /// partitioning of the same model is nearly free.
 ///
-/// The `&mut` receiver is kept for single-threaded callers' convenience
-/// (exclusive access needs no synchronization reasoning); it delegates to
-/// [`partition_shared`], which accepts the same caches by shared reference
-/// from any number of threads.
-pub fn partition_cached(
-    g: &Graph,
-    opts: &PartitionOptions,
-    caches: &mut SearchCaches,
-    obs: Option<&Collector>,
-) -> Result<PartitionPlan> {
-    partition_shared(g, opts, caches, obs)
-}
-
-/// Pre-populates `caches` with finished plans for every *feasible* worker
-/// count in `widths`, returning the feasible ones in ascending order.
+/// The caches are internally synchronized (sharded locks + single-flight
+/// plan deduplication), so a long-running service can call this
+/// concurrently from many solver threads against one `Arc<SearchCaches>`.
+/// Results are bit-identical to a single-threaded run — every cached value
+/// is a pure function of its exact structural key, so thread interleaving
+/// only decides who computes an entry first, never its value.
 ///
-/// Worker counts the search cannot split — no strategy for some node
-/// ([`CoreError::NoStrategy`]) or an unusable count
-/// ([`CoreError::BadWorkerCount`]) — are skipped, not errors: an elastic
-/// runtime warming the ladder it might shrink or grow through wants the
-/// feasible subset, and wants every later `partition_cached` call at *any*
-/// probed width to be a warm request-memo hit — the infeasible widths are
-/// remembered as rejections. Any other error aborts the warm-up.
-pub fn warm_widths(
-    g: &Graph,
-    base: &PartitionOptions,
-    widths: &[usize],
-    caches: &SearchCaches,
-) -> Result<Vec<usize>> {
-    let mut feasible = Vec::new();
-    for &w in widths {
-        match partition_shared(g, &PartitionOptions { workers: w, ..*base }, caches, None) {
-            Ok(_) => feasible.push(w),
-            Err(CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    feasible.sort_unstable();
-    feasible.dedup();
-    Ok(feasible)
-}
-
-/// [`partition_cached`] over a *shared* [`SearchCaches`]: the caches are
-/// internally synchronized (sharded locks + single-flight plan
-/// deduplication), so a long-running service can call this concurrently
-/// from many solver threads against one `Arc<SearchCaches>`. Results are
-/// bit-identical to a single-threaded [`partition_cached`] run — every
-/// cached value is a pure function of its exact structural key, so thread
-/// interleaving only decides who computes an entry first, never its value.
-pub fn partition_shared(
+/// With `obs` set, the search reports its statistics: coarsening totals
+/// (`coarsen/groups`, `coarsen/classes`, `coarsen/nodes`), one span per
+/// recursion step on [`Track::search`], per-step `dp/step_comm_bytes`
+/// counters, `cache/request_hit` on a memo hit, and everything the DP
+/// records. Pass a fresh `&SearchCaches::new()` for a cold, uncached search.
+pub fn partition_cached(
     g: &Graph,
     opts: &PartitionOptions,
     caches: &SearchCaches,
@@ -248,17 +208,14 @@ pub fn partition_shared(
     }
     let key = request_fingerprint(g, opts);
     match caches.request_begin(key) {
-        RequestLookup::Ready(RequestOutcome::Plan(plan)) => {
+        RequestLookup::Ready(outcome) => {
             if let Some(c) = obs {
                 c.add_total("cache/request_hit", 1.0);
             }
-            Ok(plan)
-        }
-        RequestLookup::Ready(RequestOutcome::Infeasible(e)) => {
-            if let Some(c) = obs {
-                c.add_total("cache/request_hit", 1.0);
+            match outcome {
+                RequestOutcome::Plan(plan) => Ok(plan),
+                RequestOutcome::Infeasible(e) => Err(e),
             }
-            Err(e)
         }
         RequestLookup::Leader => {
             let guard = caches.request_flight_guard(key);
@@ -285,34 +242,7 @@ fn partition_uncached(
 ) -> Result<PartitionPlan> {
     let started = std::time::Instant::now();
     let factors = factorize(opts.workers)?;
-    let cg = coarsen(g);
-    if let Some(c) = obs {
-        c.add_total("coarsen/nodes", g.num_nodes() as f64);
-        c.add_total("coarsen/groups", cg.groups.len() as f64);
-        c.add_total("coarsen/classes", cg.class_nodes.iter().filter(|m| !m.is_empty()).count() as f64);
-    }
-    partition_inner(g, &cg, &factors, opts, started, caches, obs)
-}
-
-/// [`partition`] that reports search statistics into `obs`: coarsening
-/// totals (`coarsen/groups`, `coarsen/classes`, `coarsen/nodes`), one span
-/// per recursion step on [`Track::search`], per-step `dp/step_comm_bytes`
-/// counters, and everything [`search_with_obs`] records.
-pub fn partition_with_obs(
-    g: &Graph,
-    opts: &PartitionOptions,
-    obs: Option<&Collector>,
-) -> Result<PartitionPlan> {
-    let started = std::time::Instant::now();
-    let factors = factorize(opts.workers)?;
-    let cg = coarsen(g);
-    if let Some(c) = obs {
-        c.add_total("coarsen/nodes", g.num_nodes() as f64);
-        c.add_total("coarsen/groups", cg.groups.len() as f64);
-        c.add_total("coarsen/classes", cg.class_nodes.iter().filter(|m| !m.is_empty()).count() as f64);
-    }
-    let caches = SearchCaches::new();
-    partition_inner(g, &cg, &factors, opts, started, &caches, obs)
+    partition_inner(g, &coarsen(g), &factors, opts, started, caches, obs)
 }
 
 /// Like [`partition`] but with a caller-provided coarsened graph and factor
@@ -324,21 +254,7 @@ pub fn partition_with_coarse(
     opts: &PartitionOptions,
     started: std::time::Instant,
 ) -> Result<PartitionPlan> {
-    partition_with_coarse_obs(g, cg, factors, opts, started, None)
-}
-
-/// [`partition_with_coarse`] with an optional statistics sink (see
-/// [`partition_with_obs`]).
-pub fn partition_with_coarse_obs(
-    g: &Graph,
-    cg: &CoarseGraph,
-    factors: &[usize],
-    opts: &PartitionOptions,
-    started: std::time::Instant,
-    obs: Option<&Collector>,
-) -> Result<PartitionPlan> {
-    let caches = SearchCaches::new();
-    partition_inner(g, cg, factors, opts, started, &caches, obs)
+    partition_inner(g, cg, factors, opts, started, &SearchCaches::new(), None)
 }
 
 fn partition_inner(
@@ -350,6 +266,11 @@ fn partition_inner(
     caches: &SearchCaches,
     obs: Option<&Collector>,
 ) -> Result<PartitionPlan> {
+    if let Some(c) = obs {
+        c.add_total("coarsen/nodes", g.num_nodes() as f64);
+        c.add_total("coarsen/groups", cg.groups.len() as f64);
+        c.add_total("coarsen/classes", cg.class_nodes.iter().filter(|m| !m.is_empty()).count() as f64);
+    }
     let mut view = ShapeView::from_graph(g);
     let mut extra = ExtraInputs::new();
     let mut steps: Vec<StepRecord> = Vec::with_capacity(factors.len());
@@ -366,11 +287,7 @@ fn partition_inner(
             tuning: opts.tuning,
         };
         let step_start = obs.map(|c| c.now_us());
-        let plan = if opts.tuning.reference {
-            unoptimized_search(g, &view, cg, &extra, &dp_opts, obs)?
-        } else {
-            search_with_caches(g, &view, cg, &extra, &dp_opts, caches, obs)?
-        };
+        let plan = search_step(g, &view, cg, &extra, &dp_opts, caches, obs)?;
         if let Some(c) = obs {
             let end = c.now_us();
             let name = format!("step {step}: {ways}-way dp over {} groups", cg.groups.len());
@@ -619,23 +536,25 @@ mod tests {
     }
 
     #[test]
-    fn warm_widths_skips_infeasible_and_fills_the_plan_cache() {
-        // Batch 36 divides by 1/2/3/4/6 but not 5 or 7: warm-up must keep
-        // the feasible subset and skip the rest without erroring.
+    fn infeasible_widths_are_memoized_like_plans() {
+        // Batch 36 divides by 1/2/3/4/6 but not 5 or 7: the first probe of
+        // each width searches, and the infeasible ones are remembered as
+        // rejections rather than retried.
         let g = mlp(36, &[72, 36]);
         let caches = SearchCaches::new();
-        let base = PartitionOptions { workers: 6, ..Default::default() };
-        let feasible = warm_widths(&g, &base, &[7, 6, 5, 4, 3, 2, 1], &caches).unwrap();
-        assert_eq!(feasible, vec![1, 2, 3, 4, 6]);
+        let at = |w: usize| {
+            partition_cached(&g, &PartitionOptions { workers: w, ..Default::default() }, &caches, None)
+        };
+        let feasible: Vec<usize> = [7, 6, 5, 4, 3, 2, 1].into_iter().filter(|&w| at(w).is_ok()).collect();
+        assert_eq!(feasible, vec![6, 4, 3, 2, 1]);
         // Every width — feasible plan or proven infeasibility — is now a
         // warm request-memo hit: no repeat costs a search.
         let h0 = caches.stats().request_hits;
         for &w in &feasible {
-            partition_shared(&g, &PartitionOptions { workers: w, ..base }, &caches, None).unwrap();
+            at(w).unwrap();
         }
         for w in [5usize, 7] {
-            partition_shared(&g, &PartitionOptions { workers: w, ..base }, &caches, None)
-                .unwrap_err();
+            at(w).unwrap_err();
         }
         let stats = caches.stats();
         assert_eq!(stats.request_hits, h0 + feasible.len() as u64 + 2);

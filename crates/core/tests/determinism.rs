@@ -7,8 +7,8 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use tofu_core::recursive::{partition_with_obs, PartitionOptions, PartitionPlan};
-use tofu_core::SearchTuning;
+use tofu_core::recursive::{partition_cached, PartitionOptions, PartitionPlan};
+use tofu_core::{SearchCaches, SearchTuning};
 use tofu_graph::Graph;
 use tofu_models::{mlp, wresnet, MlpConfig, WResNetConfig};
 use tofu_obs::Collector;
@@ -22,7 +22,7 @@ fn search_counters(c: &Collector) -> BTreeMap<String, f64> {
 
 fn run(g: &Graph, opts: &PartitionOptions) -> (PartitionPlan, BTreeMap<String, f64>) {
     let obs = Collector::new();
-    let plan = partition_with_obs(g, opts, Some(&obs)).unwrap();
+    let plan = partition_cached(g, opts, &SearchCaches::new(), Some(&obs)).unwrap();
     (plan, search_counters(&obs))
 }
 

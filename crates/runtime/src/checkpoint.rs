@@ -94,9 +94,22 @@ pub struct RecoveryOptions {
     pub jitter_seed: u64,
     /// When set, exhausting `max_attempts` shrinks the worker set per this
     /// policy instead of giving up, and scripted rejoins grow it back
-    /// (elastic recovery). Ignored by plain
-    /// [`run_with_recovery`](crate::run_with_recovery).
+    /// (elastic recovery). Only
+    /// [`run_with_elastic_recovery`](crate::run_with_elastic_recovery) can
+    /// replan; [`run_with_recovery`](crate::run_with_recovery) rejects it.
     pub elastic: Option<ElasticPolicy>,
+}
+
+impl RecoveryOptions {
+    /// One attempt, no retry, no reshaping: plain runs, snapshot resumes
+    /// and each incarnation of a durable run.
+    pub(crate) const ONE_SHOT: RecoveryOptions = RecoveryOptions {
+        max_attempts: 1,
+        backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+        jitter_seed: 0,
+        elastic: None,
+    };
 }
 
 impl Default for RecoveryOptions {
@@ -264,22 +277,13 @@ pub(crate) trait CheckpointSink: Send + Sync {
 }
 
 /// Snapshots recorded so far, keyed by `(checkpoint, worker)`. Shared across
-/// the attempts of one `run_with_recovery` call. Values are `Arc`-shared
+/// the attempts at one width of the recovery ladder. Values are `Arc`-shared
 /// with the recording worker's live map, so a barrier costs one refcount
 /// bump per live tensor instead of a deep copy of the whole value map.
 #[derive(Default)]
 pub(crate) struct CheckpointStore {
     snaps: BTreeMap<(usize, usize), BTreeMap<TensorId, Arc<Tensor>>>,
     sink: Option<Arc<dyn CheckpointSink>>,
-}
-
-impl std::fmt::Debug for CheckpointStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointStore")
-            .field("snaps", &self.snaps.keys().collect::<Vec<_>>())
-            .field("sink", &self.sink.is_some())
-            .finish()
-    }
 }
 
 impl CheckpointStore {
@@ -327,21 +331,6 @@ impl CheckpointStore {
         (1..=max_ckpt)
             .rev()
             .find(|&k| (0..workers).all(|w| self.snaps.contains_key(&(k, w))))
-    }
-
-    /// Assembles the resume point for checkpoint `k` (which must be
-    /// consistent).
-    pub(crate) fn resume_point(
-        &self,
-        k: usize,
-        workers: usize,
-        cuts: &[Vec<usize>],
-    ) -> ResumePoint {
-        ResumePoint {
-            ckpt: k,
-            cuts: cuts[k - 1].clone(),
-            values: (0..workers).map(|w| self.snaps[&(k, w)].clone()).collect(),
-        }
     }
 }
 

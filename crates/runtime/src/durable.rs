@@ -1,10 +1,10 @@
 //! Durable checkpoints: whole-process crash recovery from disk.
 //!
-//! The in-memory recovery ladder (retry → elastic reshard) dies with the
-//! coordinating process: every consistent checkpoint lives in the
-//! [`CheckpointStore`]'s heap. This module persists checkpoints through
+//! The in-memory rungs of the recovery ladder (retry → elastic reshard) die
+//! with the coordinating process: every consistent checkpoint lives in the
+//! checkpoint store's heap. This module persists checkpoints through
 //! [`tofu_durable`] the moment they become consistent, and
-//! [`run_with_durable_recovery`] closes the loop — a simulated
+//! [`run_with_durable_recovery`] adds the last rung — a simulated
 //! whole-process crash drops *all* in-memory state, then a fresh runtime:
 //!
 //! 1. **Discovers** the newest *valid* checkpoint on disk. Every candidate
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tofu_core::{generate, partition_cached, GenOptions, PartitionOptions, SearchCaches, ShardedGraph};
+use tofu_core::{PartitionOptions, SearchCaches, ShardedGraph};
 use tofu_durable::{
     gc, recover_latest, write_checkpoint, BlobStore, DurableCheckpoint, FaultyStore,
     RejectedCheckpoint,
@@ -42,11 +42,11 @@ use tofu_graph::{Graph, TensorId};
 use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
-use crate::checkpoint::{BarrierUnit, CheckpointSink, CheckpointStore};
+use crate::checkpoint::{CheckpointSink, RecoveryOptions};
+use crate::elastic::ladder;
 use crate::error::{RunFailure, RuntimeError};
-use crate::fault::FaultState;
-use crate::reshard::{assemble_snapshot, scatter_snapshot, FullSnapshot};
-use crate::{run_attempt, Attempt, Result, RunOptions, RunOutput};
+use crate::reshard::{assemble_snapshot, FullSnapshot};
+use crate::{Result, RunOptions, RunOutput};
 
 /// Where [`run_with_durable_recovery`] simulates the whole-process crash,
 /// relative to the durable commit of a chosen checkpoint.
@@ -59,14 +59,6 @@ pub enum CrashPoint {
     /// Die right after checkpoint `k`'s manifest commits (before GC runs).
     /// Recovery must find `k` valid and resume from it.
     AfterCommit(usize),
-}
-
-impl CrashPoint {
-    fn ckpt(&self) -> usize {
-        match *self {
-            CrashPoint::BeforeCommit(k) | CrashPoint::AfterCommit(k) => k,
-        }
-    }
 }
 
 /// Configuration of [`run_with_durable_recovery`].
@@ -172,36 +164,6 @@ struct Persister {
     io: Mutex<()>,
 }
 
-impl Persister {
-    fn new(
-        store: Arc<FaultyStore>,
-        every: usize,
-        retain: usize,
-        crash: Option<CrashPoint>,
-        floor: usize,
-        obs: Option<Collector>,
-    ) -> Persister {
-        Persister {
-            store,
-            every,
-            retain: retain.max(1),
-            crash,
-            crash_fired: AtomicBool::new(false),
-            floor: AtomicUsize::new(floor),
-            written: AtomicUsize::new(0),
-            bytes: AtomicU64::new(0),
-            gc_removed: AtomicUsize::new(0),
-            write_us: AtomicU64::new(0),
-            obs,
-            io: Mutex::new(()),
-        }
-    }
-
-    fn write_wall(&self) -> Duration {
-        Duration::from_micros(self.write_us.load(Ordering::SeqCst))
-    }
-}
-
 fn to_durable(snap: &FullSnapshot) -> DurableCheckpoint {
     DurableCheckpoint {
         ckpt: snap.ckpt as u64,
@@ -288,29 +250,6 @@ impl CheckpointSink for Persister {
     }
 }
 
-/// Partitions `g` for exactly `workers` workers and lowers the plan.
-fn plan_at(
-    g: &Graph,
-    base: &PartitionOptions,
-    workers: usize,
-    caches: &mut SearchCaches,
-    obs: Option<&Collector>,
-) -> Result<ShardedGraph> {
-    let plan = partition_cached(g, &PartitionOptions { workers, ..*base }, caches, obs)?;
-    Ok(generate(g, &plan, &GenOptions::default())?)
-}
-
-fn scatter_feeds(
-    sharded: &ShardedGraph,
-    feeds: &[(TensorId, Tensor)],
-) -> Result<Vec<(TensorId, Tensor)>> {
-    let mut shard_feeds = Vec::new();
-    for (t, v) in feeds {
-        shard_feeds.extend(sharded.scatter(*t, v)?);
-    }
-    Ok(shard_feeds)
-}
-
 /// Runs `g` with every consistent checkpoint persisted durably, optionally
 /// simulating a whole-process crash and recovering from disk.
 ///
@@ -318,7 +257,9 @@ fn scatter_feeds(
 /// [`run_with_elastic_recovery`](crate::run_with_elastic_recovery)):
 /// partitioning and feed scattering are done per incarnation, because the
 /// restarted process may run at a different width
-/// ([`DurableOptions::restart_workers`]) than the one that crashed.
+/// ([`DurableOptions::restart_workers`]) than the one that crashed. Each
+/// incarnation is one single-attempt pass of the recovery ladder, so no
+/// failure is retried: whatever ends the first incarnation is its death.
 ///
 /// With a [`CrashPoint`] configured, the first incarnation *must* die there
 /// (a crash point past the last barrier is an [`RuntimeError::InvalidOptions`]
@@ -342,30 +283,12 @@ pub fn run_with_durable_recovery(
     caches: &mut SearchCaches,
 ) -> Result<DurableReport> {
     let invalid = |m: &str| Err(RuntimeError::InvalidOptions(m.into()));
-    if part_opts.workers == 0 {
-        return invalid("cannot run on zero workers");
-    }
     let Some(cp) = opts.checkpoint else {
         return invalid(
             "durable recovery persists checkpoint barriers; set a \
              CheckpointPolicy::every_original cadence",
         );
     };
-    if cp.every == 0 {
-        return invalid("checkpoint interval must be positive");
-    }
-    if cp.unit != BarrierUnit::OriginalSteps {
-        return invalid(
-            "durable checkpoints reshard across plans; use the plan-independent barriers of \
-             CheckpointPolicy::every_original",
-        );
-    }
-    if !opts.churn.is_empty() {
-        return invalid(
-            "churn plans reshape the fleet mid-run; durable recovery restarts whole processes — \
-             use run_with_elastic_recovery for churn",
-        );
-    }
     if durable.restart_workers == Some(0) {
         return invalid("cannot restart on zero workers");
     }
@@ -376,38 +299,33 @@ pub fn run_with_durable_recovery(
     let mut run_opts = opts.clone();
     let disk = std::mem::take(&mut run_opts.faults.disk);
     let store = Arc::new(FaultyStore::new(durable.store.clone(), disk));
+    let persister = |crash: Option<CrashPoint>, floor: usize| {
+        Arc::new(Persister {
+            store: store.clone(),
+            every: cp.every,
+            retain: durable.retain.max(1),
+            crash,
+            crash_fired: AtomicBool::new(false),
+            floor: AtomicUsize::new(floor),
+            written: AtomicUsize::new(0),
+            bytes: AtomicU64::new(0),
+            gc_removed: AtomicUsize::new(0),
+            write_us: AtomicU64::new(0),
+            obs: obs.clone(),
+            io: Mutex::new(()),
+        })
+    };
+    let once = &RecoveryOptions::ONE_SHOT;
 
     let mut crashed: Option<RunFailure> = None;
-    let mut detection = None;
-    let mut written = 0usize;
-    let mut written_bytes = 0u64;
-    let mut gc_removed = 0usize;
-    let mut write_wall = Duration::ZERO;
-
+    let mut doomed: Option<Arc<Persister>> = None;
     if let Some(crash) = durable.crash {
-        let sharded = plan_at(g, part_opts, part_opts.workers, caches, obs.as_ref())?;
-        crate::validate(&sharded, &run_opts)?;
-        let shard_feeds = scatter_feeds(&sharded, feeds)?;
-        let persister = Arc::new(Persister::new(
-            store.clone(),
-            cp.every,
-            durable.retain,
-            Some(crash),
-            0,
-            obs.clone(),
-        ));
-        let faults = FaultState::new(&run_opts.faults);
-        let cell = Mutex::new(CheckpointStore::with_sink(persister.clone()));
-        let device_map: Vec<usize> = (0..sharded.workers).collect();
+        let sink = persister(Some(crash), 0);
         let outcome =
-            run_attempt(&sharded, &shard_feeds, &run_opts, &faults, &cell, None, &device_map, None);
-        written += persister.written.load(Ordering::SeqCst);
-        written_bytes += persister.bytes.load(Ordering::SeqCst);
-        gc_removed += persister.gc_removed.load(Ordering::SeqCst);
-        write_wall += persister.write_wall();
+            ladder(g, feeds, part_opts, &run_opts, once, caches, Some(sink.clone()), None);
+        doomed = Some(sink);
         match outcome {
             Err(RuntimeError::Failed(f)) => {
-                detection = f.max_detection();
                 if let Some(c) = &obs {
                     c.instant(
                         Track::control(),
@@ -418,16 +336,16 @@ pub fn run_with_durable_recovery(
                 crashed = Some(*f);
             }
             Ok(_) => {
+                let (CrashPoint::BeforeCommit(k) | CrashPoint::AfterCommit(k)) = crash;
                 return Err(RuntimeError::InvalidOptions(format!(
-                    "the simulated crash point (checkpoint {}) was never reached: the run \
-                     completed — move the crash to an earlier barrier",
-                    crash.ckpt()
+                    "the simulated crash point (checkpoint {k}) was never reached: the run \
+                     completed — move the crash to an earlier barrier"
                 )));
             }
             Err(e) => return Err(e),
         }
-        // Whole-process crash: `cell` (every in-memory checkpoint), the
-        // fault state and the persister drop here. Only `store` survives.
+        // Whole-process crash: every in-memory checkpoint and the fault
+        // state died with the ladder call. Only `store` survives.
     }
 
     // ===== fresh process =====
@@ -451,26 +369,6 @@ pub fn run_with_durable_recovery(
     let resumed_from = snapshot.as_ref().map(|s| s.ckpt);
 
     let width = durable.restart_workers.unwrap_or(part_opts.workers);
-    let sharded = plan_at(g, part_opts, width, caches, obs.as_ref())?;
-    crate::validate(&sharded, &run_opts)?;
-    let persister = Arc::new(Persister::new(
-        store.clone(),
-        cp.every,
-        durable.retain,
-        None,
-        resumed_from.unwrap_or(0),
-        obs.clone(),
-    ));
-    let faults = FaultState::new(&run_opts.faults);
-    let cell = Mutex::new(CheckpointStore::with_sink(persister.clone()));
-    let device_map: Vec<usize> = (0..sharded.workers).collect();
-
-    let t_restore = Instant::now();
-    let (resume, restore_bytes) = match &snapshot {
-        Some(snap) => (Some(scatter_snapshot(snap, &sharded)?), snap.bytes()),
-        None => (None, 0),
-    };
-    let restore_wall = t_restore.elapsed();
     if let Some(c) = &obs {
         let what = match resumed_from {
             Some(k) => format!("restart at width {width}: resume from durable checkpoint {k}"),
@@ -478,43 +376,29 @@ pub fn run_with_durable_recovery(
         };
         c.instant(Track::control(), "durable", &what);
     }
-    let shard_feeds =
-        if resume.is_some() { Vec::new() } else { scatter_feeds(&sharded, feeds)? };
-    let output = match run_attempt(
-        &sharded,
-        &shard_feeds,
-        &run_opts,
-        &faults,
-        &cell,
-        resume.as_ref(),
-        &device_map,
-        None,
-    )? {
-        Attempt::Done(out) => out,
-        Attempt::Yielded { .. } => {
-            return Err(RuntimeError::Internal("attempt yielded without a yield barrier".into()));
-        }
-    };
-    written += persister.written.load(Ordering::SeqCst);
-    written_bytes += persister.bytes.load(Ordering::SeqCst);
-    gc_removed += persister.gc_removed.load(Ordering::SeqCst);
-    write_wall += persister.write_wall();
+    let fresh = persister(None, resumed_from.unwrap_or(0));
+    let restart = PartitionOptions { workers: width, ..*part_opts };
+    let report =
+        ladder(g, feeds, &restart, &run_opts, once, caches, Some(fresh.clone()), snapshot)?;
 
+    let persisters: Vec<&Persister> = doomed.iter().map(|p| &**p).chain([&*fresh]).collect();
+    let sum = |count: fn(&Persister) -> u64| persisters.iter().map(|p| count(p)).sum::<u64>();
+    let first = &report.history[0];
     Ok(DurableReport {
-        output,
-        sharded,
+        restore_wall: first.reshard.unwrap_or_default(),
+        restore_bytes: first.reshard_bytes,
+        output: report.output,
+        sharded: report.sharded,
         width,
+        detection: crashed.as_ref().and_then(RunFailure::max_detection),
         crashed,
-        detection,
         resumed_from,
-        snapshot,
+        snapshot: report.snapshot,
         rejected: recovery.rejected,
-        written,
-        written_bytes,
-        gc_removed,
-        write_wall,
+        written: sum(|p| p.written.load(Ordering::SeqCst) as u64) as usize,
+        written_bytes: sum(|p| p.bytes.load(Ordering::SeqCst)),
+        gc_removed: sum(|p| p.gc_removed.load(Ordering::SeqCst) as u64) as usize,
+        write_wall: Duration::from_micros(sum(|p| p.write_us.load(Ordering::SeqCst))),
         validate_wall,
-        restore_wall,
-        restore_bytes,
     })
 }

@@ -1,13 +1,22 @@
-//! Bidirectional elastic recovery: survive permanent device loss by
-//! re-partitioning onto the survivors, and grow back onto rejoining devices
-//! at a checkpoint barrier — resharding progress across every width change.
+//! The recovery ladder, the only recovery implementation: retry → reshape
+//! the worker set → restart from the durable store. Every driver is one
+//! entry configuration of it (DESIGN.md "Failure model"):
 //!
-//! The recovery ladder (DESIGN.md "Elastic recovery"):
+//! - [`run_with_recovery`](crate::run_with_recovery) runs the
+//!   [`Supervisor`]'s attempt loop on the caller's fixed plan (as do
+//!   `run_with_options` and `resume_from_snapshot`, with one attempt);
+//! - [`run_with_elastic_recovery`] runs the whole [`ladder`] from the
+//!   original graph;
+//! - [`run_with_durable_recovery`](crate::run_with_durable_recovery) runs
+//!   the ladder once per process incarnation, with one attempt and no
+//!   policy, persisting through a checkpoint sink and restarting from the
+//!   snapshot the store recovered.
+//!
+//! The rungs (DESIGN.md "Elastic recovery"):
 //!
 //! 1. **Transient retry.** Each worker count gets `max_attempts` runs,
 //!    resuming from the latest consistent checkpoint with capped,
-//!    deterministically jittered backoff between them — the plain
-//!    [`run_with_recovery`](crate::run_with_recovery) behaviour.
+//!    deterministically jittered backoff between them.
 //! 2. **Elastic shrink.** When a width exhausts its attempts, the worker the
 //!    last failure blames is classified as *permanently lost*: its physical
 //!    device leaves the topology, the partition search re-runs for the
@@ -39,6 +48,7 @@
 //! physical`), so a permanent fault follows its device through shrinks,
 //! spares and rejoins, while faults on survivors keep firing at any width.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -51,13 +61,13 @@ use tofu_obs::{Collector, Track};
 use tofu_tensor::Tensor;
 
 use crate::checkpoint::{
-    checkpoint_cuts, AttemptRecord, BackoffSchedule, BarrierUnit, CheckpointStore,
-    RecoveryOptions, ResumePoint,
+    checkpoint_cuts, AttemptRecord, BackoffSchedule, BarrierUnit, CheckpointSink,
+    CheckpointStore, RecoveryOptions, RecoveryReport, ResumePoint,
 };
 use crate::error::{RunFailure, RuntimeError};
 use crate::fault::{ChurnEvent, FaultState};
 use crate::reshard::{assemble_snapshot, scatter_snapshot, FullSnapshot};
-use crate::{run_attempt, Attempt, Fault, Result, RunOptions, RunOutput};
+use crate::{run_attempt, validate, Attempt, Result, RunOptions, RunOutput};
 
 /// Bounds on how far elastic recovery may reshape the worker set, in both
 /// directions.
@@ -215,29 +225,22 @@ struct Selection {
     warm: bool,
 }
 
-/// Why no width could be selected.
-enum SelectErr {
-    /// A real error (generator failure, search blowup) — propagate as-is.
-    Hard(RuntimeError),
-    /// Every width in the permitted range is infeasible (no strategy) or
-    /// over budget; carries the terminal cause.
-    Infeasible(RuntimeError),
-}
-
 /// Selects the widest feasible worker count ≤ `cap` under `policy`: worker
 /// counts the search cannot split ([`CoreError::NoStrategy`]) or whose
 /// static footprint exceeds the per-device budget are stepped past (width
 /// tracks capacity; surplus devices idle as spares). With no policy the
-/// width is exact — `cap` or error.
+/// width is exact — `cap` or error. The inner error is the terminal cause
+/// when every permitted width is infeasible or over budget; the outer one
+/// is a real failure (generator error, search blowup).
 fn select_width(
     g: &Graph,
     base: &PartitionOptions,
-    caches: &mut SearchCaches,
+    caches: &SearchCaches,
     obs: Option<&Collector>,
     policy: Option<&ElasticPolicy>,
     cap: usize,
     buffer_reuse: bool,
-) -> std::result::Result<Selection, SelectErr> {
+) -> Result<std::result::Result<Selection, RuntimeError>> {
     let (floor, ceil, budget) = match policy {
         Some(p) => (p.min_workers.max(1), cap.min(p.max_workers.max(1)), p.per_device_budget),
         None => (cap, cap, None),
@@ -245,59 +248,16 @@ fn select_width(
     let t0 = Instant::now();
     let obs_t0 = obs.map(|c| c.now_us()).unwrap_or(0.0);
     let mut terminal: Option<RuntimeError> = None;
-    let mut w = ceil;
-    while w >= floor && w >= 1 {
+    for w in (floor.max(1)..=ceil).rev() {
         // A replan is *warm* when the request memo answers for the selected
         // width — a finished plan served without any search. Step-plan hits
         // below the request level don't count: a first-ever search at this
         // width shares step fingerprints with other widths and still pays
         // real search work.
         let hits_before = caches.stats().request_hits;
-        match partition_cached(g, &PartitionOptions { workers: w, ..*base }, caches, obs) {
-            Ok(plan) => {
-                let warm = caches.stats().request_hits > hits_before;
-                // Replan time is the *search* (including every stepped-past
-                // infeasible probe) — program lowering below costs the same
-                // warm or cold and would drown the cache signal.
-                let replan = t0.elapsed();
-                let sharded = match generate(g, &plan, &GenOptions::default()) {
-                    Ok(s) => s,
-                    Err(e) => return Err(SelectErr::Hard(e.into())),
-                };
-                if let Some(b) = budget {
-                    let worst = worst_device_footprint(&sharded, buffer_reuse);
-                    if worst > b {
-                        if let Some(c) = obs {
-                            c.instant(
-                                Track::control(),
-                                "elastic",
-                                &format!("width {w} over budget ({worst} > {b} bytes/device)"),
-                            );
-                        }
-                        terminal = Some(RuntimeError::Pool {
-                            worker: 0,
-                            detail: format!(
-                                "plan for {w} workers needs {worst} bytes/device, budget is {b}"
-                            ),
-                        });
-                        if w == 1 {
-                            break;
-                        }
-                        w -= 1;
-                        continue;
-                    }
-                }
-                if let Some(c) = obs {
-                    c.complete(
-                        Track::search(),
-                        "search",
-                        &format!("elastic replan ({w} workers)"),
-                        obs_t0,
-                        c.now_us(),
-                    );
-                }
-                return Ok(Selection { width: w, plan, sharded, replan, warm });
-            }
+        let plan = match partition_cached(g, &PartitionOptions { workers: w, ..*base }, caches, obs)
+        {
+            Ok(plan) => plan,
             Err(e @ (CoreError::NoStrategy { .. } | CoreError::BadWorkerCount(_)))
                 if policy.is_some() =>
             {
@@ -305,15 +265,45 @@ fn select_width(
                     c.instant(Track::control(), "elastic", &format!("width {w} infeasible"));
                 }
                 terminal = Some(e.into());
-                if w == 1 {
-                    break;
-                }
-                w -= 1;
+                continue;
             }
-            Err(e) => return Err(SelectErr::Hard(e.into())),
+            Err(e) => return Err(e.into()),
+        };
+        let warm = caches.stats().request_hits > hits_before;
+        // Replan time is the *search* (including every stepped-past
+        // infeasible probe) — program lowering below costs the same warm or
+        // cold and would drown the cache signal.
+        let replan = t0.elapsed();
+        let sharded = generate(g, &plan, &GenOptions::default())?;
+        if let Some(b) = budget {
+            let worst = worst_device_footprint(&sharded, buffer_reuse);
+            if worst > b {
+                if let Some(c) = obs {
+                    c.instant(
+                        Track::control(),
+                        "elastic",
+                        &format!("width {w} over budget ({worst} > {b} bytes/device)"),
+                    );
+                }
+                terminal = Some(RuntimeError::Pool {
+                    worker: 0,
+                    detail: format!("plan for {w} workers needs {worst} bytes/device, budget is {b}"),
+                });
+                continue;
+            }
         }
+        if let Some(c) = obs {
+            c.complete(
+                Track::search(),
+                "search",
+                &format!("elastic replan ({w} workers)"),
+                obs_t0,
+                c.now_us(),
+            );
+        }
+        return Ok(Ok(Selection { width: w, plan, sharded, replan, warm }));
     }
-    Err(SelectErr::Infeasible(terminal.unwrap_or_else(|| {
+    Ok(Err(terminal.unwrap_or_else(|| {
         RuntimeError::InvalidOptions(format!(
             "elastic policy permits no worker count (capacity {cap})"
         ))
@@ -325,6 +315,225 @@ fn select_width(
 fn insert_sorted(v: &mut Vec<usize>, d: usize) {
     let i = v.partition_point(|&x| x < d);
     v.insert(i, d);
+}
+
+/// A transition record at `width` before any latency is known; as is, one
+/// that changed the fleet but not the running width.
+fn transition(kind: TransitionKind, device: usize, width: usize) -> ElasticTransition {
+    ElasticTransition {
+        kind,
+        device,
+        from_width: width,
+        to_width: width,
+        at_ckpt: None,
+        detection: None,
+        replan: None,
+        replan_warm: false,
+        reshard: None,
+        reshard_bytes: 0,
+        resume_wall: None,
+    }
+}
+
+/// One width of the ladder: a fixed plan, the devices it runs on, and the
+/// checkpoint state its attempts share.
+struct Rung<'a> {
+    sharded: &'a ShardedGraph,
+    /// Shard feeds; empty when every attempt resumes from `carried`.
+    feeds: &'a [(TensorId, Tensor)],
+    devices: Vec<usize>,
+    /// The carried snapshot resharded onto this plan: where an attempt
+    /// resumes when this width has no consistent checkpoint of its own.
+    carried: Option<ResumePoint>,
+    cuts: Vec<Vec<usize>>,
+    /// Fresh per width: snapshots are keyed by this plan's tensor ids.
+    /// Progress crosses widths only through the carried snapshot.
+    store: Mutex<CheckpointStore>,
+}
+
+impl<'a> Rung<'a> {
+    fn new(
+        sharded: &'a ShardedGraph,
+        feeds: &'a [(TensorId, Tensor)],
+        devices: Vec<usize>,
+        carried: Option<ResumePoint>,
+        opts: &RunOptions,
+        sink: Option<Arc<dyn CheckpointSink>>,
+    ) -> Rung<'a> {
+        Rung {
+            sharded,
+            feeds,
+            devices,
+            carried,
+            cuts: opts.checkpoint.map(|cp| checkpoint_cuts(sharded, cp)).unwrap_or_default(),
+            store: Mutex::new(sink.map(CheckpointStore::with_sink).unwrap_or_default()),
+        }
+    }
+
+    /// The resume point of checkpoint `ckpt` of this width, if consistent.
+    fn point(&self, ckpt: usize) -> Option<ResumePoint> {
+        let values = self.store.lock().consistent_values(ckpt, self.devices.len())?;
+        Some(ResumePoint { ckpt, cuts: self.cuts[ckpt - 1].clone(), values })
+    }
+
+    /// This width's newest consistent checkpoint. It is never older than the
+    /// carried snapshot (attempts resume at or past its barrier), so it wins.
+    fn latest(&self) -> Option<ResumePoint> {
+        let ckpt = self.store.lock().latest_consistent(self.devices.len(), self.cuts.len())?;
+        self.point(ckpt)
+    }
+}
+
+/// How a rung ended.
+enum RungEnd {
+    /// An attempt ran to completion.
+    Done(RunOutput),
+    /// An attempt paused at consistent checkpoint `ckpt` so joining
+    /// physical device `device` can enter the fleet.
+    Yielded { ckpt: usize, device: usize },
+    /// Every attempt failed; the last failure.
+    Exhausted(RunFailure),
+}
+
+/// The recovery supervisor: the attempt loop every driver runs, one rung at
+/// a time — retry with capped jittered backoff, resume from the newest
+/// consistent checkpoint, yield at a join barrier — plus the attempt and
+/// failure bookkeeping the reports carry.
+struct Supervisor<'a> {
+    opts: &'a RunOptions,
+    recovery: &'a RecoveryOptions,
+    faults: FaultState,
+    backoff: BackoffSchedule,
+    attempts: usize,
+    failures: Vec<RunFailure>,
+    history: Vec<AttemptRecord>,
+}
+
+impl<'a> Supervisor<'a> {
+    fn new(opts: &'a RunOptions, recovery: &'a RecoveryOptions) -> Supervisor<'a> {
+        Supervisor {
+            opts,
+            recovery,
+            faults: FaultState::new(&opts.faults, &opts.churn),
+            backoff: BackoffSchedule::from_recovery(recovery),
+            attempts: 0,
+            failures: Vec::new(),
+            history: Vec::new(),
+        }
+    }
+
+    /// Runs up to `max_attempts` attempts of `rung`.
+    fn climb(&mut self, rung: &Rung) -> Result<RungEnd> {
+        let (opts, width) = (self.opts, rung.devices.len());
+        // A join that may trigger a grow pause during this width's attempts.
+        let join = self.faults.pending_join();
+        for attempt in 1..=self.recovery.max_attempts {
+            self.attempts += 1;
+            let resume = rung.latest().or_else(|| rung.carried.clone());
+            // Where to pause for a pending join: the first barrier strictly
+            // after the resume point that honors `at_ckpt` plus hysteresis,
+            // clamped into the plan's barrier range. `None` when the resume
+            // point is already past the last barrier — the attempt then
+            // runs to completion and the join stays pending.
+            let yield_at: Option<usize> = join.and_then(|(_, at)| {
+                let hyst = self.recovery.elastic.map_or(0, |p| p.grow_hysteresis);
+                let lo = resume.as_ref().map_or(1, |p| p.ckpt + 1);
+                let last = rung.cuts.len();
+                (lo <= last).then(|| at.saturating_add(hyst).clamp(lo, last))
+            });
+            if let Some(c) = &opts.collector {
+                let what = match &resume {
+                    Some(p) => format!(
+                        "attempt {attempt} @ {width} workers: resume from checkpoint {}",
+                        p.ckpt
+                    ),
+                    None => format!("attempt {attempt} @ {width} workers: from scratch"),
+                };
+                c.instant(Track::control(), "recovery", &what);
+            }
+            let t0 = Instant::now();
+            let outcome = run_attempt(
+                rung.sharded,
+                rung.feeds,
+                opts,
+                &self.faults,
+                &rung.store,
+                resume.as_ref(),
+                &rung.devices,
+                yield_at,
+            );
+            let mut record = AttemptRecord {
+                width,
+                devices: rung.devices.clone(),
+                resumed_from: resume.as_ref().map(|p| p.ckpt),
+                replan: None,
+                reshard: None,
+                reshard_bytes: 0,
+                detection: None,
+                wall: t0.elapsed(),
+                ok: false,
+                yielded: None,
+            };
+            match outcome {
+                Ok(Attempt::Done(output)) => {
+                    record.ok = true;
+                    self.history.push(record);
+                    return Ok(RungEnd::Done(output));
+                }
+                Ok(Attempt::Yielded { ckpt }) => {
+                    record.yielded = Some(ckpt);
+                    self.history.push(record);
+                    let (device, _) = join.expect("yield only happens for a pending join");
+                    return Ok(RungEnd::Yielded { ckpt, device });
+                }
+                Err(RuntimeError::Failed(f)) => {
+                    record.detection = f.max_detection();
+                    self.history.push(record);
+                    if attempt == self.recovery.max_attempts {
+                        return Ok(RungEnd::Exhausted(*f));
+                    }
+                    self.failures.push(*f);
+                    let delay = self.backoff.next_delay();
+                    if !delay.is_zero() {
+                        std::thread::sleep(delay);
+                    }
+                }
+                // Configuration errors are not retryable.
+                Err(e) => return Err(e),
+            }
+        }
+        Err(RuntimeError::InvalidOptions("max_attempts must be at least 1".into()))
+    }
+}
+
+/// The supervisor on a caller's fixed plan: transient retries only, never
+/// reshaped. Every attempt without a checkpoint of its own resumes from
+/// `carried` when one is given.
+pub(crate) fn run_fixed(
+    sharded: &ShardedGraph,
+    feeds: &[(TensorId, Tensor)],
+    opts: &RunOptions,
+    recovery: &RecoveryOptions,
+    carried: Option<&FullSnapshot>,
+) -> Result<RecoveryReport> {
+    validate(sharded.workers, opts, recovery)?;
+    let carried = carried.map(|snap| scatter_snapshot(snap, sharded)).transpose()?;
+    let devices = (0..sharded.workers).collect();
+    let rung = Rung::new(sharded, feeds, devices, carried, opts, None);
+    let mut sup = Supervisor::new(opts, recovery);
+    match sup.climb(&rung)? {
+        RungEnd::Done(output) => Ok(RecoveryReport {
+            output,
+            attempts: sup.attempts,
+            failures: sup.failures,
+            resumed_from: sup.history[1..].iter().map(|r| r.resumed_from).collect(),
+            history: sup.history,
+        }),
+        RungEnd::Exhausted(f) => Err(RuntimeError::Failed(Box::new(f))),
+        RungEnd::Yielded { .. } => {
+            Err(RuntimeError::Internal("a fixed plan has no join to yield for".into()))
+        }
+    }
 }
 
 /// [`run_with_recovery`](crate::run_with_recovery) extended with the elastic
@@ -342,79 +551,34 @@ pub fn run_with_elastic_recovery(
     recovery: &RecoveryOptions,
     caches: &mut SearchCaches,
 ) -> Result<ElasticReport> {
-    let invalid = |m: String| Err(RuntimeError::InvalidOptions(m));
-    if recovery.max_attempts == 0 {
-        return invalid("max_attempts must be at least 1".into());
-    }
-    if part_opts.workers == 0 {
-        return invalid("cannot run on zero workers".into());
-    }
-    if opts.recv_timeout.is_zero() {
-        return invalid("recv_timeout must be positive (a zero timeout stalls instantly)".into());
-    }
-    if opts.abort_poll.is_zero() {
-        return invalid("abort_poll must be positive".into());
-    }
-    if let Some(cp) = opts.checkpoint {
-        if cp.every == 0 {
-            return invalid("checkpoint interval must be positive".into());
-        }
-        if cp.unit != BarrierUnit::OriginalSteps {
-            return invalid(
-                "elastic recovery reshards checkpoints across plans; use the plan-independent \
-                 barriers of CheckpointPolicy::every_original"
-                    .into(),
-            );
-        }
-    }
-    // Fault plans address the *initial* fleet's physical ids.
-    for f in &opts.faults.faults {
-        let k = part_opts.workers;
-        match f.fault {
-            Fault::Kill { worker, .. }
-            | Fault::Panic { worker, .. }
-            | Fault::PoolOverBudget { worker, .. } => {
-                if worker >= k {
-                    return invalid(format!("fault targets worker {worker} of {k}"));
-                }
-            }
-            Fault::Message { src, dst, .. } => {
-                if src >= k || dst >= k {
-                    return invalid(format!("message fault targets link {src} -> {dst} of {k}"));
-                }
-                if src == dst {
-                    return invalid(format!("message fault targets self-link {src} -> {dst}"));
-                }
-                if opts.integrity != crate::IntegrityLevel::Full {
-                    return invalid(
-                        "message faults need IntegrityLevel::Full; lower levels skip the \
-                         checks that detect tampering"
-                            .into(),
-                    );
-                }
-            }
-        }
-    }
-    if let Err(m) = opts.churn.validate(part_opts.workers) {
-        return invalid(m);
-    }
-    if !opts.churn.is_empty() && recovery.elastic.is_none() {
-        return invalid(
-            "churn plans reshape the fleet; set RecoveryOptions::elastic to an ElasticPolicy"
+    ladder(g, feeds, part_opts, opts, recovery, caches, None, None)
+}
+
+/// The whole ladder. `sink` observes every consistent checkpoint (the
+/// durable layer persists through it); `carried` is a snapshot the first
+/// width resumes from (a durable restart's recovered checkpoint).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ladder(
+    g: &Graph,
+    feeds: &[(TensorId, Tensor)],
+    part_opts: &PartitionOptions,
+    opts: &RunOptions,
+    recovery: &RecoveryOptions,
+    caches: &SearchCaches,
+    sink: Option<Arc<dyn CheckpointSink>>,
+    mut carried: Option<FullSnapshot>,
+) -> Result<ElasticReport> {
+    validate(part_opts.workers, opts, recovery)?;
+    if opts.checkpoint.is_some_and(|cp| cp.unit != BarrierUnit::OriginalSteps) {
+        return Err(RuntimeError::InvalidOptions(
+            "the ladder reshards checkpoints across plans; use the plan-independent barriers \
+             of CheckpointPolicy::every_original"
                 .into(),
-        );
-    }
-    if opts.churn.has_joins() && opts.checkpoint.is_none() {
-        return invalid(
-            "churn joins grow the run at checkpoint barriers; set a \
-             CheckpointPolicy::every_original cadence"
-                .into(),
-        );
+        ));
     }
 
     let obs = opts.collector.as_ref();
-    let faults = FaultState::with_churn(&opts.faults, &opts.churn);
-    let mut backoff = BackoffSchedule::from_recovery(recovery);
+    let mut sup = Supervisor::new(opts, recovery);
     let policy = recovery.elastic;
 
     // The fleet: every present physical device, sorted. The first `width`
@@ -423,41 +587,74 @@ pub fn run_with_elastic_recovery(
     let mut lost: Vec<usize> = Vec::new();
     let mut joined: Vec<usize> = Vec::new();
     let mut widths: Vec<usize> = Vec::new();
-    let mut failures: Vec<RunFailure> = Vec::new();
-    let mut resumed_from: Vec<Option<usize>> = Vec::new();
-    let mut history: Vec<AttemptRecord> = Vec::new();
     let mut transitions: Vec<ElasticTransition> = Vec::new();
-    let mut attempts = 0usize;
-    let mut carried: Option<FullSnapshot> = None;
     let mut shrinks = 0usize;
     let mut grows = 0usize;
-    // Index into `transitions` of the width change whose reshard/resume
-    // latencies are still to be measured.
-    let mut open_transition: Option<usize> = None;
+    // The fleet change that ended the previous width: its kind, the device
+    // that left or joined, the width it ran at, and (for a loss) the
+    // failure that triggered it.
+    let mut change: Option<(TransitionKind, usize, usize, Option<RunFailure>)> = None;
 
-    let mut selection = match select_width(
-        g,
-        part_opts,
-        caches,
-        obs,
-        policy.as_ref(),
-        part_opts.workers,
-        opts.buffer_reuse,
-    ) {
-        Ok(s) => s,
-        Err(SelectErr::Hard(e)) => return Err(e),
-        Err(SelectErr::Infeasible(cause)) => {
-            return Err(match policy {
-                // With an elastic mandate an unrunnable start is a typed
-                // surrender; without one, surface the raw error.
-                Some(_) => RuntimeError::Unrecoverable { lost, widths, cause: Box::new(cause) },
-                None => cause,
+    loop {
+        let Selection { width, plan, sharded, replan, warm } = match select_width(
+            g,
+            part_opts,
+            caches,
+            obs,
+            policy.as_ref(),
+            available.len(),
+            opts.buffer_reuse,
+        )? {
+            Ok(s) => s,
+            // Without an elastic mandate an unrunnable width is the raw
+            // error, not a surrender.
+            Err(cause) if policy.is_none() => return Err(cause),
+            Err(term) => {
+                // A budget breach is more informative than the triggering
+                // failure; a bare floor/feasibility breach is not.
+                let cause = match change {
+                    Some((.., Some(f))) if !matches!(term, RuntimeError::Pool { .. }) => {
+                        RuntimeError::Failed(Box::new(f))
+                    }
+                    _ => term,
+                };
+                return Err(RuntimeError::Unrecoverable { lost, widths, cause: Box::new(cause) });
+            }
+        };
+        let open = change.take().map(|(kind, device, from, f)| {
+            // A join that could not widen the run leaves the device idle.
+            let kind = match kind {
+                TransitionKind::Grow if width <= from => TransitionKind::SpareJoin,
+                k => k,
+            };
+            let grew = kind == TransitionKind::Grow;
+            if let Some(c) = obs.filter(|_| kind != TransitionKind::Shrink) {
+                let what = if grew {
+                    format!(
+                        "device {device} rejoined: grow {from} → {width} at checkpoint {}",
+                        carried.as_ref().map_or(0, |s| s.ckpt)
+                    )
+                } else {
+                    format!("device {device} rejoined as spare (no wider feasible width)")
+                };
+                c.instant(Track::control(), "churn", &what);
+                c.add_total("elastic/joins", 1.0);
+                if grew {
+                    c.add_total("elastic/grows", 1.0);
+                }
+            }
+            grows += usize::from(grew);
+            transitions.push(ElasticTransition {
+                to_width: width,
+                at_ckpt: carried.as_ref().map(|s| s.ckpt),
+                detection: f.as_ref().and_then(RunFailure::max_detection),
+                replan: Some(replan),
+                replan_warm: warm,
+                ..transition(kind, device, from)
             });
-        }
-    };
-
-    'ladder: loop {
-        let Selection { width, plan, sharded, replan, warm: _ } = selection;
+            sup.failures.extend(f);
+            transitions.len() - 1
+        });
         widths.push(width);
         let devices: Vec<usize> = available[..width].to_vec();
         if let Some(c) = obs {
@@ -473,22 +670,17 @@ pub fn run_with_elastic_recovery(
             }
         }
 
-        // Scatter the original feeds into this plan's shard layout.
-        let mut shard_feeds: Vec<(TensorId, Tensor)> = Vec::new();
-        for (t, v) in feeds {
-            shard_feeds.extend(sharded.scatter(*t, v)?);
-        }
-
         // Reshard the carried snapshot (if any) onto this plan once; every
-        // attempt at this width can resume from it.
-        let mut reshard_time: Option<Duration> = None;
-        let mut reshard_bytes = 0u64;
-        let carried_point: Option<ResumePoint> = match &carried {
+        // attempt at this width resumes from it or a later checkpoint, so
+        // the original feeds are only scattered when there is none.
+        let mut shard_feeds: Vec<(TensorId, Tensor)> = Vec::new();
+        let (mut reshard, mut reshard_bytes) = (None, 0u64);
+        let carried_point = match &carried {
             Some(snap) => {
                 let t0 = Instant::now();
                 let obs_t0 = obs.map(|c| c.now_us()).unwrap_or(0.0);
                 let point = scatter_snapshot(snap, &sharded)?;
-                reshard_time = Some(t0.elapsed());
+                reshard = Some(t0.elapsed());
                 reshard_bytes = snap.bytes();
                 if let Some(c) = obs {
                     c.complete(
@@ -502,36 +694,25 @@ pub fn run_with_elastic_recovery(
                 }
                 Some(point)
             }
-            None => None,
+            None => {
+                for (t, v) in feeds {
+                    shard_feeds.extend(sharded.scatter(*t, v)?);
+                }
+                None
+            }
         };
-        if let Some(i) = open_transition {
-            transitions[i].reshard = reshard_time;
-            transitions[i].reshard_bytes = reshard_bytes;
-        }
 
         // Resolve armed churn events that cannot fire mid-run: a leave of a
         // non-active device happens immediately (no worker runs on it), and
         // a join the policy caps is absorbed as a spare without a pause.
         loop {
-            match faults.armed_event() {
+            match sup.faults.armed_event() {
                 Some(ChurnEvent::Leave { device, .. }) if !devices.contains(&device) => {
-                    faults.advance_churn();
+                    sup.faults.advance_churn();
                     if let Some(i) = available.iter().position(|&d| d == device) {
                         available.remove(i);
                         lost.push(device);
-                        transitions.push(ElasticTransition {
-                            kind: TransitionKind::SpareLoss,
-                            device,
-                            from_width: width,
-                            to_width: width,
-                            at_ckpt: None,
-                            detection: None,
-                            replan: None,
-                            replan_warm: false,
-                            reshard: None,
-                            reshard_bytes: 0,
-                            resume_wall: None,
-                        });
+                        transitions.push(transition(TransitionKind::SpareLoss, device, width));
                         if let Some(c) = obs {
                             c.instant(
                                 Track::control(),
@@ -546,22 +727,10 @@ pub fn run_with_elastic_recovery(
                         width >= p.max_workers.max(1) || grows >= p.max_grow_steps
                     }) =>
                 {
-                    faults.advance_churn();
+                    sup.faults.advance_churn();
                     insert_sorted(&mut available, device);
                     joined.push(device);
-                    transitions.push(ElasticTransition {
-                        kind: TransitionKind::SpareJoin,
-                        device,
-                        from_width: width,
-                        to_width: width,
-                        at_ckpt: None,
-                        detection: None,
-                        replan: None,
-                        replan_warm: false,
-                        reshard: None,
-                        reshard_bytes: 0,
-                        resume_wall: None,
-                    });
+                    transitions.push(transition(TransitionKind::SpareJoin, device, width));
                     if let Some(c) = obs {
                         c.instant(
                             Track::control(),
@@ -574,287 +743,102 @@ pub fn run_with_elastic_recovery(
                 _ => break,
             }
         }
-        // A join that may trigger a grow pause during this width's attempts.
-        let grow_pending = faults.pending_join();
 
-        let cuts: Vec<Vec<usize>> = match opts.checkpoint {
-            Some(cp) => checkpoint_cuts(&sharded, cp),
-            None => Vec::new(),
-        };
-        // Fresh store per width: snapshots are keyed by this plan's tensor
-        // ids. Progress crosses widths only through the carried snapshot.
-        let store = Mutex::new(CheckpointStore::default());
-
-        let mut width_failure: Option<RunFailure> = None;
-        for attempt in 1..=recovery.max_attempts {
-            attempts += 1;
-            let resume: Option<ResumePoint> = {
-                let s = store.lock();
-                match s.latest_consistent(width, cuts.len()) {
-                    // This width's own checkpoints are never older than the
-                    // carried snapshot (attempts resume at or past its
-                    // barrier), so prefer them.
-                    Some(ck) => Some(s.resume_point(ck, width, &cuts)),
-                    None => carried_point.clone(),
-                }
-            };
-            resumed_from.push(resume.as_ref().map(|p| p.ckpt));
-            // Where to pause for a pending join: the first barrier strictly
-            // after the resume point that honors `at_ckpt` plus hysteresis,
-            // clamped into the plan's barrier range. `None` when the resume
-            // point is already past the last barrier — the attempt then
-            // runs to completion and the join stays pending.
-            let yield_at: Option<usize> = grow_pending.and_then(|(_, at)| {
-                let hyst = policy.map(|p| p.grow_hysteresis).unwrap_or(0);
-                let lo = resume.as_ref().map(|p| p.ckpt + 1).unwrap_or(1);
-                (lo <= cuts.len()).then(|| at.saturating_add(hyst).clamp(lo, cuts.len()))
-            });
-            if let Some(c) = obs {
-                let what = match &resume {
-                    Some(p) => format!(
-                        "attempt {attempt} @ {width} workers: resume from checkpoint {}",
-                        p.ckpt
-                    ),
-                    None => format!("attempt {attempt} @ {width} workers: from scratch"),
-                };
-                c.instant(Track::control(), "recovery", &what);
-            }
-            let t0 = Instant::now();
-            let outcome = run_attempt(
-                &sharded,
-                &shard_feeds,
-                opts,
-                &faults,
-                &store,
-                resume.as_ref(),
-                &devices,
-                yield_at,
-            );
-            let wall = t0.elapsed();
-            if attempt == 1 {
-                if let Some(i) = open_transition.take() {
-                    transitions[i].resume_wall = Some(wall);
-                }
-            }
-            let mut record = AttemptRecord {
-                width,
-                devices: devices.clone(),
-                resumed_from: resume.as_ref().map(|p| p.ckpt),
-                replan: (attempt == 1).then_some(replan),
-                reshard: if attempt == 1 { reshard_time } else { None },
-                reshard_bytes: if attempt == 1 { reshard_bytes } else { 0 },
-                detection: None,
-                wall,
-                ok: false,
-                yielded: None,
-            };
-            match outcome {
-                Ok(Attempt::Done(output)) => {
-                    record.ok = true;
-                    history.push(record);
-                    let snapshot = carried.take();
-                    let spares: Vec<usize> =
-                        available.iter().copied().filter(|d| !devices.contains(d)).collect();
-                    return Ok(ElasticReport {
-                        output,
-                        sharded,
-                        plan,
-                        devices,
-                        spares,
-                        lost,
-                        joined,
-                        widths,
-                        attempts,
-                        failures,
-                        resumed_from,
-                        history,
-                        transitions,
-                        snapshot,
-                    });
-                }
-                Ok(Attempt::Yielded { ckpt }) => {
-                    record.yielded = Some(ckpt);
-                    history.push(record);
-                    // The pause barrier is consistent by construction
-                    // (every worker recorded it before stopping): harvest
-                    // it as the carried snapshot and let the device in.
-                    let cp = opts.checkpoint.expect("yield requires a checkpoint policy");
-                    let point = {
-                        let s = store.lock();
-                        s.resume_point(ckpt, width, &cuts)
-                    };
-                    carried = Some(assemble_snapshot(&sharded, point.ckpt, &point.values, cp.every)?);
-                    let (dev, _) = grow_pending.expect("yield only happens for a pending join");
-                    insert_sorted(&mut available, dev);
-                    joined.push(dev);
-                    faults.advance_churn();
-                    // Re-select over the enlarged capacity. The current
-                    // width stays feasible, so selection cannot regress
-                    // below it — but it may not *exceed* it either, in
-                    // which case the device idles as a spare.
-                    let sel = match select_width(
-                        g,
-                        part_opts,
-                        caches,
-                        obs,
-                        policy.as_ref(),
-                        available.len(),
-                        opts.buffer_reuse,
-                    ) {
-                        Ok(s) => s,
-                        Err(SelectErr::Hard(e)) => return Err(e),
-                        Err(SelectErr::Infeasible(cause)) => {
-                            return Err(RuntimeError::Unrecoverable {
-                                lost,
-                                widths,
-                                cause: Box::new(cause),
-                            });
-                        }
-                    };
-                    let kind = if sel.width > width {
-                        grows += 1;
-                        TransitionKind::Grow
-                    } else {
-                        TransitionKind::SpareJoin
-                    };
-                    if let Some(c) = obs {
-                        let what = match kind {
-                            TransitionKind::Grow => format!(
-                                "device {dev} rejoined: grow {width} → {} at checkpoint {ckpt}",
-                                sel.width
-                            ),
-                            _ => format!(
-                                "device {dev} rejoined as spare (no wider feasible width)"
-                            ),
-                        };
-                        c.instant(Track::control(), "churn", &what);
-                        c.add_total("elastic/joins", 1.0);
-                        if kind == TransitionKind::Grow {
-                            c.add_total("elastic/grows", 1.0);
-                        }
-                    }
-                    transitions.push(ElasticTransition {
-                        kind,
-                        device: dev,
-                        from_width: width,
-                        to_width: sel.width,
-                        at_ckpt: Some(ckpt),
-                        detection: None,
-                        replan: Some(sel.replan),
-                        replan_warm: sel.warm,
-                        reshard: None,
-                        reshard_bytes: 0,
-                        resume_wall: None,
-                    });
-                    open_transition = Some(transitions.len() - 1);
-                    selection = sel;
-                    continue 'ladder;
-                }
-                Err(RuntimeError::Failed(f)) => {
-                    record.detection = f.max_detection();
-                    history.push(record);
-                    if attempt < recovery.max_attempts {
-                        failures.push(*f);
-                        let delay = backoff.next_delay();
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                    } else {
-                        width_failure = Some(*f);
-                    }
-                }
-                // Configuration errors are not retryable.
-                Err(e) => return Err(e),
-            }
+        let rung = Rung::new(&sharded, &shard_feeds, devices, carried_point, opts, sink.clone());
+        let first = sup.history.len();
+        let end = sup.climb(&rung)?;
+        let record = &mut sup.history[first];
+        record.replan = Some(replan);
+        record.reshard = reshard;
+        record.reshard_bytes = reshard_bytes;
+        if let Some(i) = open {
+            transitions[i].reshard = reshard;
+            transitions[i].reshard_bytes = reshard_bytes;
+            transitions[i].resume_wall = Some(record.wall);
         }
-
-        // This width is out of attempts: classify the blamed worker's
-        // physical device as permanently lost and consult the policy.
-        let f = width_failure.expect("exhausted width recorded a failure");
-        let victim = devices[f.worker];
-        if let Some(c) = obs {
-            c.instant(Track::control(), "elastic", &format!("device {victim} lost (permanent)"));
-        }
-        let Some(pol) = policy else {
-            // No elastic mandate: behave like plain recovery and surface the
-            // final failure.
-            return Err(RuntimeError::Failed(Box::new(f)));
-        };
-        lost.push(victim);
-        shrinks += 1;
-        // A scripted leave of this device has done its job: retire it so
-        // the next churn event arms.
-        if matches!(faults.armed_event(),
-            Some(ChurnEvent::Leave { device, .. }) if device == victim)
-        {
-            faults.advance_churn();
-        }
-        if shrinks > pol.max_shrink_steps {
-            return Err(RuntimeError::Unrecoverable {
-                lost,
-                widths,
-                cause: Box::new(RuntimeError::Failed(Box::new(f))),
-            });
-        }
-
-        // Harvest this width's best consistent checkpoint as the carried
-        // plan-independent snapshot before the store (keyed by this plan's
-        // tensor ids) is dropped.
-        if let Some(cp) = opts.checkpoint {
-            let s = store.lock();
-            if let Some(ck) = s.latest_consistent(width, cuts.len()) {
-                let point = s.resume_point(ck, width, &cuts);
-                let snap = assemble_snapshot(&sharded, point.ckpt, &point.values, cp.every)?;
-                // Attempts only ever resume at or past the carried barrier,
-                // so a fresh consistent checkpoint is never older.
-                if carried.as_ref().is_none_or(|c0| snap.ckpt >= c0.ckpt) {
-                    carried = Some(snap);
-                }
-            }
-        }
-        let i = available.iter().position(|&d| d == victim).expect("victim is in the fleet");
-        available.remove(i);
-        let detection = f.max_detection();
-        selection = match select_width(
-            g,
-            part_opts,
-            caches,
-            obs,
-            Some(&pol),
-            available.len(),
-            opts.buffer_reuse,
-        ) {
-            Ok(s) => s,
-            Err(SelectErr::Hard(e)) => return Err(e),
-            Err(SelectErr::Infeasible(term)) => {
-                // A budget breach is more informative than the triggering
-                // failure; a bare floor/feasibility breach is not.
-                let cause = if matches!(term, RuntimeError::Pool { .. }) {
-                    term
-                } else {
-                    RuntimeError::Failed(Box::new(f))
-                };
-                return Err(RuntimeError::Unrecoverable {
+        change = Some(match end {
+            RungEnd::Done(output) => {
+                let spares: Vec<usize> =
+                    available.iter().copied().filter(|d| !rung.devices.contains(d)).collect();
+                let resumed_from = sup.history.iter().map(|r| r.resumed_from).collect();
+                let Rung { devices, .. } = rung;
+                return Ok(ElasticReport {
+                    output,
+                    sharded,
+                    plan,
+                    devices,
+                    spares,
                     lost,
+                    joined,
                     widths,
-                    cause: Box::new(cause),
+                    attempts: sup.attempts,
+                    failures: sup.failures,
+                    resumed_from,
+                    history: sup.history,
+                    transitions,
+                    snapshot: carried,
                 });
             }
-        };
-        transitions.push(ElasticTransition {
-            kind: TransitionKind::Shrink,
-            device: victim,
-            from_width: width,
-            to_width: selection.width,
-            at_ckpt: carried.as_ref().map(|s| s.ckpt),
-            detection,
-            replan: Some(selection.replan),
-            replan_warm: selection.warm,
-            reshard: None,
-            reshard_bytes: 0,
-            resume_wall: None,
+            RungEnd::Yielded { ckpt, device } => {
+                // The pause barrier is consistent by construction (every
+                // worker recorded it before stopping): harvest it as the
+                // carried snapshot and let the device in.
+                let (Some(cp), Some(point)) = (opts.checkpoint, rung.point(ckpt)) else {
+                    return Err(RuntimeError::Internal(format!(
+                        "yield barrier {ckpt} is not a consistent checkpoint"
+                    )));
+                };
+                carried = Some(assemble_snapshot(&sharded, ckpt, &point.values, cp.every)?);
+                insert_sorted(&mut available, device);
+                joined.push(device);
+                sup.faults.advance_churn();
+                (TransitionKind::Grow, device, width, None)
+            }
+            RungEnd::Exhausted(f) => {
+                // This width is out of attempts: classify the blamed
+                // worker's physical device as permanently lost and consult
+                // the policy.
+                let victim = rung.devices[f.worker];
+                let Some(pol) = policy else {
+                    // No elastic mandate: surface the final failure.
+                    return Err(RuntimeError::Failed(Box::new(f)));
+                };
+                if let Some(c) = obs {
+                    c.instant(
+                        Track::control(),
+                        "elastic",
+                        &format!("device {victim} lost (permanent)"),
+                    );
+                }
+                lost.push(victim);
+                shrinks += 1;
+                // A scripted leave of this device has done its job: retire
+                // it so the next churn event arms.
+                if matches!(sup.faults.armed_event(),
+                    Some(ChurnEvent::Leave { device, .. }) if device == victim)
+                {
+                    sup.faults.advance_churn();
+                }
+                if shrinks > pol.max_shrink_steps {
+                    return Err(RuntimeError::Unrecoverable {
+                        lost,
+                        widths,
+                        cause: Box::new(RuntimeError::Failed(Box::new(f))),
+                    });
+                }
+                // Harvest this width's best consistent checkpoint as the
+                // carried plan-independent snapshot before the store (keyed
+                // by this plan's tensor ids) is dropped.
+                let fresher = rung
+                    .latest()
+                    .filter(|p| carried.as_ref().is_none_or(|c| p.ckpt >= c.ckpt));
+                if let (Some(cp), Some(point)) = (opts.checkpoint, fresher) {
+                    carried =
+                        Some(assemble_snapshot(&sharded, point.ckpt, &point.values, cp.every)?);
+                }
+                available.retain(|&d| d != victim);
+                (TransitionKind::Shrink, victim, width, Some(f))
+            }
         });
-        open_transition = Some(transitions.len() - 1);
-        failures.push(f);
     }
 }

@@ -352,11 +352,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub(crate) fn new(plan: &FaultPlan) -> FaultState {
-        FaultState::with_churn(plan, &ChurnPlan::none())
-    }
-
-    pub(crate) fn with_churn(plan: &FaultPlan, churn: &ChurnPlan) -> FaultState {
+    pub(crate) fn new(plan: &FaultPlan, churn: &ChurnPlan) -> FaultState {
         FaultState {
             faults: plan.faults.iter().map(|f| (f.clone(), AtomicBool::new(false))).collect(),
             churn: churn.events.clone(),
@@ -460,9 +456,13 @@ impl FaultState {
 mod tests {
     use super::*;
 
+    fn state(plan: FaultPlan) -> FaultState {
+        FaultState::new(&plan, &ChurnPlan::none())
+    }
+
     #[test]
     fn step_faults_fire_once() {
-        let st = FaultState::new(&FaultPlan::single(Fault::Kill { worker: 1, pos: 3 }));
+        let st = state(FaultPlan::single(Fault::Kill { worker: 1, pos: 3 }));
         assert!(st.step_faults(0, 3, 10, 0).is_empty(), "wrong worker");
         assert!(st.step_faults(1, 2, 10, 0).is_empty(), "wrong position");
         assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill]);
@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn permanent_faults_refire_every_attempt() {
-        let st = FaultState::new(&FaultPlan::single_permanent(Fault::Kill { worker: 1, pos: 3 }));
+        let st = state(FaultPlan::single_permanent(Fault::Kill { worker: 1, pos: 3 }));
         assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill]);
         assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill], "permanent re-fires");
         // An attempt resumed past the injection site still dies — at its
@@ -482,14 +482,14 @@ mod tests {
 
     #[test]
     fn out_of_range_position_clamps_to_last() {
-        let st = FaultState::new(&FaultPlan::single(Fault::Panic { worker: 0, pos: 99 }));
+        let st = state(FaultPlan::single(Fault::Panic { worker: 0, pos: 99 }));
         assert!(st.step_faults(0, 4, 5, 0).is_empty());
         assert_eq!(st.step_faults(0, 5, 5, 0), vec![StepFault::Panic]);
     }
 
     #[test]
     fn message_action_matches_link_and_index() {
-        let st = FaultState::new(&FaultPlan::single(Fault::Message {
+        let st = state(FaultPlan::single(Fault::Message {
             src: 0,
             dst: 2,
             index: 1,
@@ -504,7 +504,7 @@ mod tests {
     #[test]
     fn churn_events_process_strictly_in_order() {
         let plan = ChurnPlan::none().with_leave(1, 3).with_join(1, 2).with_leave(2, 5);
-        let st = FaultState::with_churn(&FaultPlan::none(), &plan);
+        let st = FaultState::new(&FaultPlan::none(), &plan);
         // The armed leave re-fires like a permanent kill...
         assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill]);
         assert_eq!(st.step_faults(1, 3, 10, 0), vec![StepFault::Kill]);
@@ -525,7 +525,7 @@ mod tests {
     #[test]
     fn churn_leave_clamps_like_step_faults() {
         let plan = ChurnPlan::none().with_leave(0, 99);
-        let st = FaultState::with_churn(&FaultPlan::none(), &plan);
+        let st = FaultState::new(&FaultPlan::none(), &plan);
         assert!(st.step_faults(0, 4, 5, 0).is_empty());
         assert_eq!(st.step_faults(0, 5, 5, 0), vec![StepFault::Kill]);
         // Resumed past the site: fires at the resume position instead.

@@ -56,11 +56,16 @@
 //!   kills or panics a worker at a schedule position, tampers with a chosen
 //!   message, or forces a pool over-budget event — so every failure path
 //!   above is testable.
-//! - **Checkpoint-restart.** A [`CheckpointPolicy`] snapshots worker values
-//!   at global-schedule barriers and [`run_with_recovery`] retries a faulted
-//!   run with exponential backoff, resuming from the last consistent
-//!   checkpoint and replaying owed sends; recovered output is bit-identical
-//!   to an undisturbed run.
+//! - **One recovery ladder.** A [`CheckpointPolicy`] snapshots worker
+//!   values at global-schedule barriers. Every driver runs the same
+//!   supervisor: retry a faulted attempt with capped jittered backoff from
+//!   the last consistent checkpoint (replaying owed sends), reshape the
+//!   worker set when an [`ElasticPolicy`] allows, and restart from a durable
+//!   store after a whole-process crash. [`run_with_recovery`] is the retry
+//!   rung on a fixed plan, [`run_with_elastic_recovery`] the whole ladder
+//!   and [`run_with_durable_recovery`] one single-attempt pass of it per
+//!   process incarnation. Recovered output is bit-identical to an
+//!   undisturbed run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -109,6 +114,7 @@ pub use tofu_durable::{
 pub use trace::{LinkStat, OpEvent, RunTrace, WorkerTrace};
 
 use checkpoint::{checkpoint_cuts, CheckpointStore, ResumePoint};
+use elastic::run_fixed;
 use fault::{FaultState, StepFault};
 use route::{FetchSource, RoutePlan, SendRoute, WorkerRoutes};
 
@@ -125,10 +131,8 @@ pub enum IntegrityLevel {
     /// Route-slot bounds and double-delivery checks only; trusts the
     /// transport. The per-message cost is two array index checks.
     Fast,
-    /// `Fast` plus per-link sequence numbers: detects dropped, duplicated
-    /// and reordered pieces, but not payload corruption.
-    Sequenced,
-    /// Everything: sequence numbers, payload checksums and the plan-time
+    /// Everything: per-link sequence numbers, payload checksums, the
+    /// end-of-run drain sweep and the plan-time
     /// consumer/input/shape cross-check per message. Required whenever the
     /// fault plan injects message faults — the checks are what turn
     /// tampering into typed errors.
@@ -232,6 +236,22 @@ struct WorkerOutcome {
     yielded: bool,
 }
 
+impl WorkerOutcome {
+    /// A worker that failed before it could assemble a trace.
+    fn lost(error: RuntimeError) -> WorkerOutcome {
+        WorkerOutcome {
+            trace: None,
+            values: BTreeMap::new(),
+            sent: Vec::new(),
+            slab_allocs: 0,
+            slab_reuses: 0,
+            error: Some(error),
+            observed: None,
+            yielded: false,
+        }
+    }
+}
+
 /// How one execution attempt ended (when no failure intervened).
 pub(crate) enum Attempt {
     /// Ran to completion.
@@ -302,26 +322,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Up-front validation of the run configuration, so misconfiguration fails
+/// Up-front validation shared by every driver, so misconfiguration fails
 /// with a clear [`RuntimeError::InvalidOptions`] before any thread spawns.
-fn validate(sharded: &ShardedGraph, opts: &RunOptions) -> Result<()> {
-    let k = sharded.workers;
+/// `workers` is the (initial) fleet the fault and churn plans address.
+fn validate(workers: usize, opts: &RunOptions, recovery: &RecoveryOptions) -> Result<()> {
+    let k = workers;
     let invalid = |m: String| Err(RuntimeError::InvalidOptions(m));
     if k == 0 {
-        return invalid("sharded graph declares zero workers".into());
+        return invalid("cannot run on zero workers".into());
+    }
+    if recovery.max_attempts == 0 {
+        return invalid("max_attempts must be at least 1".into());
     }
     if opts.recv_timeout.is_zero() {
         return invalid("recv_timeout must be positive (a zero timeout stalls instantly)".into());
     }
     if opts.abort_poll.is_zero() {
         return invalid("abort_poll must be positive".into());
-    }
-    if !opts.churn.is_empty() {
-        return invalid(
-            "churn plans script fleet-membership changes; only run_with_elastic_recovery can \
-             honor them"
-                .into(),
-        );
     }
     if !opts.faults.disk.is_empty() {
         return invalid(
@@ -353,13 +370,30 @@ fn validate(sharded: &ShardedGraph, opts: &RunOptions) -> Result<()> {
                 }
                 if opts.integrity != IntegrityLevel::Full {
                     return invalid(
-                        "message faults need IntegrityLevel::Full; lower levels skip the \
-                         checks that detect tampering"
+                        "message faults need IntegrityLevel::Full; Fast skips the checks that \
+                         detect tampering"
                             .into(),
                     );
                 }
             }
         }
+    }
+    if let Err(m) = opts.churn.validate(k) {
+        return invalid(m);
+    }
+    if !opts.churn.is_empty() && recovery.elastic.is_none() {
+        return invalid(
+            "churn plans reshape the fleet; only run_with_elastic_recovery with \
+             RecoveryOptions::elastic set can honor them"
+                .into(),
+        );
+    }
+    if opts.churn.has_joins() && opts.checkpoint.is_none() {
+        return invalid(
+            "churn joins grow the run at checkpoint barriers; set a \
+             CheckpointPolicy::every_original cadence"
+                .into(),
+        );
     }
     Ok(())
 }
@@ -371,123 +405,41 @@ pub fn run(sharded: &ShardedGraph, feeds: &[(TensorId, Tensor)]) -> Result<RunOu
     run_with_options(sharded, feeds, &RunOptions::default())
 }
 
-/// [`run`] with explicit options.
+/// [`run`] with explicit options: one attempt, no retry.
 pub fn run_with_options(
     sharded: &ShardedGraph,
     feeds: &[(TensorId, Tensor)],
     opts: &RunOptions,
 ) -> Result<RunOutput> {
-    validate(sharded, opts)?;
-    let faults = FaultState::new(&opts.faults);
-    let store = Mutex::new(CheckpointStore::default());
-    let device_map: Vec<usize> = (0..sharded.workers).collect();
-    match run_attempt(sharded, feeds, opts, &faults, &store, None, &device_map, None)? {
-        Attempt::Done(out) => Ok(out),
-        Attempt::Yielded { .. } => {
-            Err(RuntimeError::Internal("attempt yielded without a yield barrier".into()))
-        }
-    }
+    run_fixed(sharded, feeds, opts, &RecoveryOptions::ONE_SHOT, None).map(|r| r.output)
 }
 
 /// [`run_with_options`] plus retry: a faulted run is re-attempted with
 /// capped, deterministically jittered backoff (see [`BackoffSchedule`]),
 /// resuming from the last *consistent* checkpoint when `opts.checkpoint` is
-/// set (and from scratch otherwise). Transient injected faults fire once
+/// set (and from scratch otherwise). This is the first rung of the recovery
+/// ladder on the caller's fixed plan. Transient injected faults fire once
 /// across all attempts, so the retry observes a healthy world; permanent
 /// faults re-fire every attempt — recovering past those takes the elastic
-/// ladder of [`run_with_elastic_recovery`] ([`RecoveryOptions::degrade`] is
-/// ignored here). The recovered output is bit-identical to an undisturbed
-/// run (see DESIGN.md "Failure model" for the argument).
+/// ladder of [`run_with_elastic_recovery`], which can replan. Setting
+/// [`RecoveryOptions::elastic`] here is an [`RuntimeError::InvalidOptions`]:
+/// a fixed plan has no graph to replan. The recovered output is
+/// bit-identical to an undisturbed run (see DESIGN.md "Failure model" for
+/// the argument).
 pub fn run_with_recovery(
     sharded: &ShardedGraph,
     feeds: &[(TensorId, Tensor)],
     opts: &RunOptions,
     recovery: &RecoveryOptions,
 ) -> Result<RecoveryReport> {
-    validate(sharded, opts)?;
-    if recovery.max_attempts == 0 {
-        return Err(RuntimeError::InvalidOptions("max_attempts must be at least 1".into()));
+    if recovery.elastic.is_some() {
+        return Err(RuntimeError::InvalidOptions(
+            "RecoveryOptions::elastic reshapes the worker set, which needs the original graph; \
+             use run_with_elastic_recovery"
+                .into(),
+        ));
     }
-    let faults = FaultState::new(&opts.faults);
-    let store = Mutex::new(CheckpointStore::default());
-    let device_map: Vec<usize> = (0..sharded.workers).collect();
-    let cuts = match opts.checkpoint {
-        Some(cp) => checkpoint_cuts(sharded, cp),
-        None => Vec::new(),
-    };
-    let mut failures = Vec::new();
-    let mut resumed_from = Vec::new();
-    let mut history: Vec<AttemptRecord> = Vec::new();
-    let mut backoff = BackoffSchedule::from_recovery(recovery);
-    for attempt in 1..=recovery.max_attempts {
-        let resume: Option<ResumePoint> = if attempt == 1 {
-            None
-        } else {
-            let s = store.lock();
-            let point = s
-                .latest_consistent(sharded.workers, cuts.len())
-                .map(|ckpt| s.resume_point(ckpt, sharded.workers, &cuts));
-            resumed_from.push(point.as_ref().map(|p| p.ckpt));
-            point
-        };
-        if let Some(c) = &opts.collector {
-            let name = match (attempt, &resume) {
-                (1, _) => format!("attempt {attempt}"),
-                (_, Some(p)) => format!("attempt {attempt}: resume from checkpoint {}", p.ckpt),
-                (_, None) => format!("attempt {attempt}: restart from scratch"),
-            };
-            c.instant(Track::control(), "recovery", &name);
-        }
-        let started = Instant::now();
-        let outcome =
-            run_attempt(sharded, feeds, opts, &faults, &store, resume.as_ref(), &device_map, None)
-                .and_then(|a| match a {
-                    Attempt::Done(out) => Ok(out),
-                    Attempt::Yielded { .. } => Err(RuntimeError::Internal(
-                        "attempt yielded without a yield barrier".into(),
-                    )),
-                });
-        let mut record = AttemptRecord {
-            width: sharded.workers,
-            devices: device_map.clone(),
-            resumed_from: resume.as_ref().map(|p| p.ckpt),
-            replan: None,
-            reshard: None,
-            reshard_bytes: 0,
-            detection: None,
-            wall: started.elapsed(),
-            ok: false,
-            yielded: None,
-        };
-        match outcome {
-            Ok(output) => {
-                record.ok = true;
-                history.push(record);
-                return Ok(RecoveryReport {
-                    output,
-                    attempts: attempt,
-                    failures,
-                    resumed_from,
-                    history,
-                });
-            }
-            Err(RuntimeError::Failed(f)) => {
-                record.detection = f.max_detection();
-                history.push(record);
-                failures.push(*f);
-                if attempt < recovery.max_attempts {
-                    let delay = backoff.next_delay();
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-            }
-            // Configuration errors are not retryable.
-            Err(e) => return Err(e),
-        }
-    }
-    let last = failures.pop().expect("every exhausted attempt recorded a failure");
-    Err(RuntimeError::Failed(Box::new(last)))
+    run_fixed(sharded, feeds, opts, recovery, None)
 }
 
 /// One execution attempt: spawns the workers, collects their outcomes, and
@@ -730,16 +682,7 @@ fn run_worker<'a>(
                     summary: e.to_string(),
                     at: Instant::now(),
                 });
-                return WorkerOutcome {
-                    trace: None,
-                    values: BTreeMap::new(),
-                    sent: Vec::new(),
-                    slab_allocs: 0,
-                    slab_reuses: 0,
-                    error: Some(e),
-                    observed: None,
-                    yielded: false,
-                };
+                return WorkerOutcome::lost(e);
             }
         };
         let err = worker.run_inner().err();
@@ -756,16 +699,7 @@ fn run_worker<'a>(
                 summary: format!("panic: {message}"),
                 at: Instant::now(),
             });
-            WorkerOutcome {
-                trace: None,
-                values: BTreeMap::new(),
-                sent: Vec::new(),
-                slab_allocs: 0,
-                slab_reuses: 0,
-                error: Some(RuntimeError::WorkerPanic { worker: w, message }),
-                observed: None,
-                yielded: false,
-            }
+            WorkerOutcome::lost(RuntimeError::WorkerPanic { worker: w, message })
         }
     }
 }
@@ -1276,7 +1210,7 @@ impl<'a> Worker<'a> {
         // routing table guarantees a fault-free run sends exactly the pieces
         // the plan owes, so the sweep only ever fires under injected faults
         // (which require `Full` anyway).
-        if self.integrity != IntegrityLevel::Fast {
+        if self.integrity == IntegrityLevel::Full {
             self.drain_check()?;
         }
         self.pool.verify_against(&self.plan)?;
@@ -1449,7 +1383,7 @@ impl<'a> Worker<'a> {
                 msg.src, self.w
             )));
         };
-        if self.integrity != IntegrityLevel::Fast {
+        if self.integrity == IntegrityLevel::Full {
             let expected = self.expect_seq[msg.src];
             if msg.seq != expected {
                 return Err(comm(format!(
@@ -1466,8 +1400,6 @@ impl<'a> Worker<'a> {
                 )));
             }
             self.expect_seq[msg.src] = expected + 1;
-        }
-        if self.integrity == IntegrityLevel::Full {
             if payload_checksum(msg.piece.data()) != msg.checksum {
                 return Err(comm(format!(
                     "link {} -> {}: piece for node {} input {} failed its checksum \

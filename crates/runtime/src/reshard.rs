@@ -22,13 +22,12 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
 use tofu_core::{Region, ShardedGraph};
 use tofu_graph::TensorId;
 use tofu_tensor::{Shape, Tensor};
 
-use crate::checkpoint::{checkpoint_cuts, CheckpointPolicy, CheckpointStore, ResumePoint};
-use crate::fault::FaultState;
+use crate::checkpoint::{checkpoint_cuts, CheckpointPolicy, RecoveryOptions, ResumePoint};
+use crate::elastic::run_fixed;
 use crate::{copy_block, Result, RunOptions, RunOutput, RuntimeError};
 
 /// A plan-independent checkpoint: every original tensor the barrier covers
@@ -205,8 +204,8 @@ pub(crate) fn scatter_snapshot(
 
 /// Runs `sharded` resuming from a plan-independent snapshot: the snapshot is
 /// resharded onto `sharded`'s layout and execution starts at the barrier.
-/// This is both the resume path of elastic recovery and the way to construct
-/// its bit-identity baseline — an undisturbed run at the surviving width
+/// It runs the recovery ladder's attempt loop once, on the caller's plan,
+/// and is the way to construct the ladder's bit-identity baseline — an undisturbed run at the surviving width
 /// resumed from the equivalent checkpoint cut.
 ///
 /// `feeds` is ignored when the snapshot covers the leaves (it always does
@@ -218,16 +217,6 @@ pub fn resume_from_snapshot(
     opts: &RunOptions,
     snap: &FullSnapshot,
 ) -> Result<RunOutput> {
-    crate::validate(sharded, opts)?;
     let _ = feeds;
-    let faults = FaultState::new(&opts.faults);
-    let store = Mutex::new(CheckpointStore::default());
-    let point = scatter_snapshot(snap, sharded)?;
-    let device_map: Vec<usize> = (0..sharded.workers).collect();
-    match crate::run_attempt(sharded, &[], opts, &faults, &store, Some(&point), &device_map, None)? {
-        crate::Attempt::Done(out) => Ok(out),
-        crate::Attempt::Yielded { .. } => {
-            Err(RuntimeError::Internal("attempt yielded without a yield barrier".into()))
-        }
-    }
+    run_fixed(sharded, &[], opts, &RecoveryOptions::ONE_SHOT, Some(snap)).map(|r| r.output)
 }

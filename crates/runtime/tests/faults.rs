@@ -10,12 +10,13 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
+use tofu_core::{generate, partition, GenOptions, PartitionOptions, SearchCaches, ShardedGraph};
 use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
-    run_with_options, run_with_recovery, CheckpointPolicy, Fault, FaultPlan, IntegrityLevel,
-    MessageFault, RecoveryOptions, RunFailure, RunOptions, RuntimeError,
+    run_with_elastic_recovery, run_with_options, run_with_recovery, CheckpointPolicy,
+    ElasticPolicy, Fault, FaultPlan, IntegrityLevel, MessageFault, RecoveryOptions, RunFailure,
+    RunOptions, RuntimeError,
 };
 use tofu_tensor::Tensor;
 
@@ -38,13 +39,18 @@ fn feeds(g: &Graph) -> Vec<(TensorId, Tensor)> {
     out
 }
 
+fn model() -> Graph {
+    mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true })
+        .unwrap()
+        .graph
+}
+
 fn shard(workers: usize) -> (ShardedGraph, Vec<(TensorId, Tensor)>) {
-    let m = mlp(&MlpConfig { batch: 8, dims: vec![16, 16], classes: 8, with_updates: true })
-        .unwrap();
-    let plan = partition(&m.graph, &PartitionOptions { workers, ..Default::default() }).unwrap();
-    let sharded = generate(&m.graph, &plan, &GenOptions::default()).unwrap();
+    let g = model();
+    let plan = partition(&g, &PartitionOptions { workers, ..Default::default() }).unwrap();
+    let sharded = generate(&g, &plan, &GenOptions::default()).unwrap();
     let mut shard_feeds = Vec::new();
-    for (t, v) in feeds(&m.graph) {
+    for (t, v) in feeds(&g) {
         shard_feeds.extend(sharded.scatter(t, &v).unwrap());
     }
     (sharded, shard_feeds)
@@ -176,6 +182,47 @@ fn recovery_without_checkpoints_restarts_from_scratch() {
     assert_eq!(report.attempts, 2);
     assert_eq!(report.resumed_from, vec![None], "no checkpoints: clean restart");
     assert_bit_identical(&report.output.values, &baseline.values);
+}
+
+#[test]
+fn fixed_and_elastic_drivers_retry_identically() {
+    // Without an elastic policy the elastic driver is the plain retry loop
+    // on the plan it searched: the same transient kill must cost the same
+    // attempts, resume from the same checkpoint and recover the same bits.
+    // One barrier, halfway through the original graph, and a kill at the
+    // victim's last step: by then every peer has passed the barrier (the
+    // victim already received their backward-pass pieces), so checkpoint 1
+    // is consistent on every run and both drivers must resume from it.
+    let workers = 4;
+    let (sharded, shard_feeds) = shard(workers);
+    let g = model();
+    let every = g.num_nodes().div_ceil(2);
+    let pos = sharded.worker_schedule(1).len() - 1;
+    let opts = RunOptions {
+        faults: FaultPlan::single(Fault::Kill { worker: 1, pos }),
+        checkpoint: Some(CheckpointPolicy::every_original(every)),
+        ..Default::default()
+    };
+    let recovery = RecoveryOptions { backoff: Duration::ZERO, ..Default::default() };
+    let fixed = run_with_recovery(&sharded, &shard_feeds, &opts, &recovery).expect("fixed plan");
+    let elastic = run_with_elastic_recovery(
+        &g,
+        &feeds(&g),
+        &PartitionOptions { workers, ..Default::default() },
+        &opts,
+        &recovery,
+        &mut SearchCaches::new(),
+    )
+    .expect("elastic driver");
+    assert_eq!(fixed.attempts, 2, "one failure, one retry");
+    assert_eq!(elastic.attempts, fixed.attempts);
+    // `RecoveryReport::resumed_from` lists retries; the elastic report
+    // lists every attempt, the first of which starts from scratch.
+    assert_eq!(fixed.resumed_from, vec![Some(1)], "a late kill resumes from the barrier");
+    assert_eq!(elastic.resumed_from[0], None);
+    assert_eq!(elastic.resumed_from[1..], fixed.resumed_from[..]);
+    assert_eq!(elastic.widths, vec![workers], "no replan without a policy");
+    assert_bit_identical(&elastic.output.values, &fixed.output.values);
 }
 
 #[test]
@@ -363,14 +410,16 @@ fn invalid_options_fail_before_spawning() {
         let err = run_with_options(&sharded, &shard_feeds, &opts).unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidOptions(_)), "got {err}");
     }
-    let err = run_with_recovery(
-        &sharded,
-        &shard_feeds,
-        &RunOptions::default(),
-        &RecoveryOptions { max_attempts: 0, backoff: Duration::ZERO, ..Default::default() },
-    )
-    .unwrap_err();
-    assert!(matches!(err, RuntimeError::InvalidOptions(_)), "got {err}");
+    // Zero attempts, and an elastic policy a fixed plan cannot honor (it
+    // has no graph to replan).
+    for recovery in [
+        RecoveryOptions { max_attempts: 0, backoff: Duration::ZERO, ..Default::default() },
+        RecoveryOptions { elastic: Some(ElasticPolicy::default()), ..Default::default() },
+    ] {
+        let err = run_with_recovery(&sharded, &shard_feeds, &RunOptions::default(), &recovery)
+            .unwrap_err();
+        assert!(matches!(err, RuntimeError::InvalidOptions(_)), "got {err}");
+    }
 }
 
 #[test]

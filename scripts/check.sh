@@ -5,6 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo clippy --workspace --all-targets -- -D warnings
+# The repo benchmark (perfbench/) is a workspace of its own, so neither the
+# clippy pass above nor the workspace tests build it; check it explicitly so
+# an API change that breaks the benchmark fails here.
+cargo check --offline --manifest-path perfbench/Cargo.toml
 cargo build --release
 # The fault suite must abort runs in milliseconds; a hang here means the
 # fail-fast path regressed, so cap it hard rather than stalling CI. The
