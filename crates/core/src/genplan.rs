@@ -17,11 +17,12 @@
 //!
 //! [`multi_fetch`]: tofu_graph::ops::data
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use tofu_graph::{Attrs, Graph, NodeId, NodeTags, TensorId, TensorKind};
 use tofu_tdl::{bind_extents, IndexExpr, Reducer, TdlDesc};
-use tofu_tensor::{Shape, Tensor};
+use tofu_tensor::{append_block, copy_block, Shape, Tensor, TensorError};
 
 use crate::dp::NodeChoice;
 use crate::error::CoreError;
@@ -209,55 +210,100 @@ impl ShardedGraph {
         out
     }
 
-    /// Splits a full tensor value into per-worker shard feeds.
-    pub fn scatter(&self, original: TensorId, value: &Tensor) -> Result<Vec<(TensorId, Tensor)>> {
-        let regions = self
-            .regions
-            .get(&original)
-            .ok_or_else(|| CoreError::Internal("unknown tensor in scatter".into()))?;
-        let shards = &self.shards[&original];
-        let mut out = Vec::with_capacity(regions.len());
-        for (w, region) in regions.iter().enumerate() {
-            let mut piece = value.clone();
-            for (d, &(lo, hi)) in region.iter().enumerate() {
-                piece = piece
-                    .slice(d, lo as usize, hi as usize)
-                    .map_err(|e| CoreError::Internal(format!("scatter slice: {e}")))?;
-            }
-            out.push((shards[w], piece));
-        }
-        Ok(out)
+    /// The full (unsharded) shape of original tensor `original`: its
+    /// per-worker regions tile (or replicate over) `[0, max hi)` per
+    /// dimension.
+    pub fn full_shape(&self, original: TensorId) -> Result<Shape> {
+        let (regions, _) = self.layout(original)?;
+        let rank = regions.first().map_or(0, |r| r.len());
+        Ok(Shape::new(
+            (0..rank)
+                .map(|d| regions.iter().map(|r| r[d].1).max().unwrap_or(0).max(0) as usize)
+                .collect(),
+        ))
     }
 
-    /// Reassembles a full tensor from per-worker shard values.
-    pub fn gather(
+    /// Splits a full tensor value into per-worker shard feeds, one block
+    /// copy per worker region. A value whose shape is not the tensor's full
+    /// extent is rejected.
+    pub fn scatter(&self, original: TensorId, value: &Tensor) -> Result<Vec<(TensorId, Tensor)>> {
+        let (regions, shards) = self.layout(original)?;
+        expect_dims(&self.full_shape(original)?, value.shape())?;
+        regions
+            .iter()
+            .zip(shards)
+            .map(|(region, &shard)| {
+                let (lo, len, dims) = block_of(region);
+                let mut data = Vec::with_capacity(dims.volume());
+                append_block(&mut data, value.data(), value.shape().dims(), &lo, &len)
+                    .map_err(tensor_err)?;
+                Ok((shard, Tensor::from_vec(dims, data).map_err(tensor_err)?))
+            })
+            .collect()
+    }
+
+    /// Reassembles the full value of original tensor `original` from its
+    /// per-worker shard values, one block copy per worker region.
+    /// `full_shape` must be the tensor's full extent and every shard its
+    /// region's extent. Generic over the map's value type so `Arc`-shared
+    /// payloads gather without a deep copy.
+    pub fn gather<V: Borrow<Tensor>>(
         &self,
         original: TensorId,
         full_shape: &Shape,
-        values: &BTreeMap<TensorId, Tensor>,
+        values: &BTreeMap<TensorId, V>,
     ) -> Result<Tensor> {
-        let regions = self
-            .regions
-            .get(&original)
-            .ok_or_else(|| CoreError::Internal("unknown tensor in gather".into()))?;
-        let shards = &self.shards[&original];
-        let mut out = Tensor::zeros(full_shape.clone());
-        for (w, region) in regions.iter().enumerate() {
-            let piece = values
-                .get(&shards[w])
-                .ok_or_else(|| CoreError::Internal("missing shard value in gather".into()))?;
-            let lens: Vec<usize> = region.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
-            for idx in Shape::new(lens).indices() {
-                let dst: Vec<usize> = idx
-                    .iter()
-                    .zip(region)
-                    .map(|(&o, &(lo, _))| o + lo as usize)
-                    .collect();
-                out.set(&dst, piece.at(&idx));
-            }
+        let (regions, shards) = self.layout(original)?;
+        expect_dims(&self.full_shape(original)?, full_shape)?;
+        let mut out = vec![0.0; full_shape.volume()];
+        for (w, (region, shard)) in regions.iter().zip(shards).enumerate() {
+            let piece: &Tensor = values
+                .get(shard)
+                .ok_or_else(|| {
+                    CoreError::Internal(format!("gather: worker {w} shard of {original:?} missing"))
+                })?
+                .borrow();
+            let (lo, len, dims) = block_of(region);
+            expect_dims(&dims, piece.shape())?;
+            // Replicated workers hold bit-identical copies, so overlapping
+            // writes are idempotent.
+            let zeros = vec![0; len.len()];
+            copy_block(&mut out, full_shape.dims(), piece.data(), dims.dims(), &zeros, &lo, &len)
+                .map_err(tensor_err)?;
         }
-        Ok(out)
+        Tensor::from_vec(full_shape.clone(), out).map_err(tensor_err)
     }
+
+    /// The per-worker regions and shard tensors of original tensor `original`.
+    fn layout(&self, original: TensorId) -> Result<(&[Region], &[TensorId])> {
+        match (self.regions.get(&original), self.shards.get(&original)) {
+            (Some(regions), Some(shards)) => Ok((regions, shards)),
+            _ => Err(CoreError::Internal(format!("{original:?} is not an original tensor"))),
+        }
+    }
+}
+
+/// A shard region as a block: its start, its extent, and that extent as a
+/// shape.
+fn block_of(region: &Region) -> (Vec<i64>, Vec<i64>, Shape) {
+    let lo = region.iter().map(|&(lo, _)| lo).collect();
+    let len: Vec<i64> = region.iter().map(|&(lo, hi)| hi - lo).collect();
+    let dims = Shape::new(len.iter().map(|&l| l.max(0) as usize).collect());
+    (lo, len, dims)
+}
+
+/// Fails with a typed shape mismatch unless `got` is `want`.
+fn expect_dims(want: &Shape, got: &Shape) -> Result<()> {
+    if want == got {
+        return Ok(());
+    }
+    let (lhs, rhs) = (got.dims().to_vec(), want.dims().to_vec());
+    Err(tensor_err(TensorError::ShapeMismatch { lhs, rhs }))
+}
+
+/// A tensor-layer error (block copy, shape check) as a core error.
+fn tensor_err(e: TensorError) -> CoreError {
+    CoreError::Graph(e.into())
 }
 
 /// Mixed-radix digit of worker `w` at recursion step `s` given the per-step

@@ -8,7 +8,9 @@
 
 use std::collections::BTreeMap;
 
-use tofu_tensor::{Conv1dParams, Conv2dParams, PoolKind, PoolParams, ReduceKind, Shape, Tensor};
+use tofu_tensor::{
+    copy_block, Conv1dParams, Conv2dParams, PoolKind, PoolParams, ReduceKind, Shape, Tensor,
+};
 
 use crate::attrs::Attrs;
 use crate::graph::{Graph, NodeId, TensorId, TensorKind};
@@ -507,57 +509,15 @@ fn multi_fetch(ins: &[&Tensor], attrs: &Attrs) -> Result<Tensor> {
             pieces.len()
         )));
     }
-    let mut out = Tensor::zeros(Shape::new(out_dims));
+    let mut out = vec![0.0; out_dims.iter().product()];
     for (i, src) in ins.iter().enumerate() {
         let desc = &pieces[i * 3 * rank..(i + 1) * 3 * rank];
-        let src_begin = &desc[..rank];
-        let dst_begin = &desc[rank..2 * rank];
-        let len = &desc[2 * rank..];
-        copy_block_rows(&mut out, src, src_begin, dst_begin, len);
+        let (src_begin, rest) = desc.split_at(rank);
+        let (dst_begin, len) = rest.split_at(rank);
+        copy_block(&mut out, &out_dims, src.data(), src.shape().dims(), src_begin, dst_begin, len)
+            .map_err(|e| GraphError::Exec(format!("multi_fetch piece {i}: {e}")))?;
     }
-    Ok(out)
-}
-
-/// Moves the `len`-sized block at `src_begin` of `src` to `dst_begin` of
-/// `dst`, one contiguous innermost row per `copy_from_slice` — the blocked
-/// core of [`multi_fetch`], replacing its former per-element index walk.
-/// Both tensors are dense row-major; the block must lie within bounds.
-fn copy_block_rows(dst: &mut Tensor, src: &Tensor, src_begin: &[i64], dst_begin: &[i64], len: &[i64]) {
-    let rank = len.len();
-    if rank == 0 {
-        dst.data_mut()[0] = src.data()[0];
-        return;
-    }
-    if len.iter().any(|&l| l <= 0) {
-        return;
-    }
-    let row = len[rank - 1] as usize;
-    let src_strides = src.shape().strides();
-    let dst_strides = dst.shape().strides();
-    let mut src_off: usize =
-        src_begin.iter().zip(&src_strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut dst_off: usize =
-        dst_begin.iter().zip(&dst_strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut idx = vec![0usize; rank - 1];
-    'rows: loop {
-        dst.data_mut()[dst_off..dst_off + row]
-            .copy_from_slice(&src.data()[src_off..src_off + row]);
-        // Odometer over the outer dimensions.
-        let mut d = rank - 1;
-        while d > 0 {
-            d -= 1;
-            idx[d] += 1;
-            src_off += src_strides[d];
-            dst_off += dst_strides[d];
-            if idx[d] < len[d] as usize {
-                continue 'rows;
-            }
-            idx[d] = 0;
-            src_off -= src_strides[d] * len[d] as usize;
-            dst_off -= dst_strides[d] * len[d] as usize;
-        }
-        break;
-    }
+    Ok(Tensor::from_vec(Shape::new(out_dims), out)?)
 }
 
 /// Sums a tensor over every axis except `axis`, yielding a rank-1 tensor.
@@ -988,5 +948,24 @@ mod tests {
         assert!(loss_v.is_finite() && loss_v > 0.0);
         let gw = info.grad(w).unwrap();
         assert!(values[&gw].data().iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn multi_fetch_assembles_blocks_and_rejects_overruns() {
+        // A 2x3 source; the piece copies its right 2x2 block into the
+        // right half of a zero-padded 2x3 output.
+        let src = Tensor::arange(6).reshape(Shape::new(vec![2, 3])).unwrap();
+        let fetch = |pieces: Vec<i64>| {
+            let attrs = Attrs::new().with_ints("out_dims", vec![2, 3]).with_ints("pieces", pieces);
+            run_single("multi_fetch", &[src.shape().clone()], vec![src.clone()], attrs)
+        };
+        let out = fetch(vec![0, 1, 0, 1, 2, 2]).unwrap();
+        assert_eq!(out.data(), &[0., 1., 2., 0., 4., 5.]);
+        // Columns [2, 4) overrun the inner dimension while every offset stays
+        // inside the 6-element buffer: a typed error, not a read of the next
+        // row.
+        let err = fetch(vec![0, 2, 0, 0, 1, 2]).unwrap_err();
+        assert!(matches!(err, GraphError::Exec(_)), "{err:?}");
+        assert!(err.to_string().contains("exceeds axis 1"), "{err}");
     }
 }

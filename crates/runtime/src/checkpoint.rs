@@ -52,29 +52,29 @@ pub enum BarrierUnit {
     OriginalSteps,
 }
 
-/// Snapshot cadence.
+/// Snapshot cadence. Every barrier first scans the live values for NaN/Inf
+/// and payload-checksum mismatches; a hit fails the run with
+/// [`RuntimeError::PoisonedCheckpoint`](crate::RuntimeError) or
+/// [`RuntimeError::CorruptSnapshot`](crate::RuntimeError) instead of
+/// committing a state recovery would faithfully resume into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Snapshot after every `every` nodes (of the schedule `unit` selects).
     pub every: usize,
     /// Which schedule the barrier counts.
     pub unit: BarrierUnit,
-    /// Scan snapshot values for NaN/Inf before committing; a hit fails the
-    /// run with [`RuntimeError::PoisonedCheckpoint`](crate::RuntimeError)
-    /// instead of persisting a state recovery would faithfully resume into.
-    pub poison_check: bool,
 }
 
 impl CheckpointPolicy {
-    /// Snapshot every `n` sharded-graph schedule steps (poison check on).
+    /// Snapshot every `n` sharded-graph schedule steps.
     pub fn every(n: usize) -> CheckpointPolicy {
-        CheckpointPolicy { every: n, unit: BarrierUnit::ShardedSteps, poison_check: true }
+        CheckpointPolicy { every: n, unit: BarrierUnit::ShardedSteps }
     }
 
     /// Snapshot every `n` *original-graph* nodes — the plan-independent
-    /// barriers elastic recovery reshards across (poison check on).
+    /// barriers elastic recovery reshards across.
     pub fn every_original(n: usize) -> CheckpointPolicy {
-        CheckpointPolicy { every: n, unit: BarrierUnit::OriginalSteps, poison_check: true }
+        CheckpointPolicy { every: n, unit: BarrierUnit::OriginalSteps }
     }
 }
 

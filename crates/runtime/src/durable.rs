@@ -101,8 +101,7 @@ pub struct DurableReport {
     /// tensor ids.
     pub output: RunOutput,
     /// The sharded graph of the restart plan — gather originals with
-    /// [`ShardedGraph::gather`] or
-    /// [`gather_shards`](crate::gather_shards), and use it to build the
+    /// [`ShardedGraph::gather`], and use it to build the
     /// bit-identity baseline via
     /// [`resume_from_snapshot`](crate::resume_from_snapshot).
     pub sharded: ShardedGraph,

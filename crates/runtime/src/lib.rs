@@ -50,7 +50,9 @@
 //!   [`PieceRef`]s cut from a per-worker [`PieceSlab`]: the producer
 //!   extracts the block once into a recycled buffer, the channel and the
 //!   receiver's stash move `Arc`s, and the buffer returns to the slab once
-//!   consumed. Send routing is pre-resolved at plan time into a
+//!   consumed. Extraction and fetch assembly are the bounds-checked
+//!   [`tofu_tensor::append_block`] / [`tofu_tensor::copy_block`], so a
+//!   malformed piece is a typed error, never a wrong read. Send routing is pre-resolved at plan time into a
 //!   schedule-indexed table, so the send path performs no map lookups.
 //! - **Fault injection.** A [`FaultPlan`] in [`RunOptions`] deterministically
 //!   kills or panics a worker at a schedule position, tampers with a chosen
@@ -88,10 +90,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use tofu_core::{FetchPiece, ShardedGraph};
+use tofu_core::ShardedGraph;
 use tofu_graph::{execute_node, plan_buffers, BufferPlan, NodeId, TensorId, TensorKind};
 use tofu_obs::{Collector, SpanBuffer, Track};
-use tofu_tensor::{Shape, Tensor};
+use tofu_tensor::{append_block, copy_block, Shape, Tensor};
 
 pub use abort::{AbortCause, AbortToken};
 pub use checkpoint::{
@@ -107,7 +109,7 @@ pub use fault::{
     MessageFault,
 };
 pub use pool::{BufferPool, PieceRef, PieceSlab};
-pub use reshard::{gather_shards, resume_from_snapshot, scatter_full, FullSnapshot};
+pub use reshard::{resume_from_snapshot, FullSnapshot};
 pub use tofu_durable::{
     BlobStore, DirStore, DiskFault, DiskFaultPlan, MemStore, RejectReason, RejectedCheckpoint,
 };
@@ -714,8 +716,6 @@ struct Worker<'a> {
     /// Logical-to-physical device map for the whole attempt, for addressing
     /// message faults by physical link.
     device_map: &'a [usize],
-    /// Scan checkpoint values for NaN/Inf before committing them.
-    poison_check: bool,
     schedule: Vec<NodeId>,
     plan: BufferPlan,
     /// Values are shared: checkpoints and resume snapshots hold `Arc`
@@ -728,7 +728,7 @@ struct Worker<'a> {
     /// resumed run, and the snapshot still *records* them (bit-identity of
     /// recovered value maps requires every key).
     scan_floor: Vec<usize>,
-    /// With `poison_check` on: FNV-1a checksum of each value's payload,
+    /// With checkpointing on: FNV-1a checksum of each value's payload,
     /// recorded the moment the value was produced (or fed / restored). The
     /// checkpoint barrier re-hashes live values against these, so a buffer
     /// aliased or overwritten after production is caught *before* the
@@ -864,8 +864,7 @@ impl<'a> Worker<'a> {
         let k = txs.len();
         let mut pool = BufferPool::new(w);
         pool.set_budget(opts.pool_budget);
-        let poison_check = opts.checkpoint.map(|cp| cp.poison_check).unwrap_or(false);
-        let value_sums = if poison_check {
+        let value_sums = if store.is_some() {
             values.iter().map(|(t, v)| (*t, payload_checksum(v.data()))).collect()
         } else {
             BTreeMap::new()
@@ -875,7 +874,6 @@ impl<'a> Worker<'a> {
             w,
             phys: device_map[w],
             device_map,
-            poison_check,
             schedule,
             plan,
             values,
@@ -999,10 +997,10 @@ impl<'a> Worker<'a> {
     }
 
     /// Records every checkpoint whose local cut is `pos` (positions
-    /// `[0, pos)` are done). With `poison_check` on, every value still live
-    /// at the barrier is scanned for NaN/Inf first and a poisoned snapshot
-    /// is *never* committed — a checkpoint exists to be restored from, and
-    /// restoring non-finite state would silently poison every later attempt.
+    /// `[0, pos)` are done). Every value still live at the barrier is
+    /// scanned for NaN/Inf first and a poisoned snapshot is *never*
+    /// committed — a checkpoint exists to be restored from, and restoring
+    /// non-finite state would silently poison every later attempt.
     /// Tensors whose last local read precedes the barrier are skipped by the
     /// scan (a resume can never observe them) but stay in the snapshot: the
     /// recorded map is an `Arc` clone of the live one — refcount bumps, no
@@ -1020,26 +1018,24 @@ impl<'a> Worker<'a> {
     /// lock, so persistence I/O never serializes peers' barriers.
     fn take_checkpoints(&mut self, pos: usize) -> Result<()> {
         if let (Some(store), Some(ks)) = (self.store, self.ckpts_at.get(&pos)) {
-            if self.poison_check {
-                if let Err((t, defect)) =
-                    scan_snapshot(&self.values, &self.value_sums, &self.scan_floor, pos)
-                {
-                    return Err(match defect {
-                        SnapshotDefect::NonFinite => RuntimeError::PoisonedCheckpoint {
-                            worker: self.w,
-                            node: self
-                                .sharded
-                                .graph
-                                .producer(t)
-                                .map(|n| self.sharded.graph.node(n).name.clone()),
-                            tensor: self.sharded.graph.tensor(t).name.clone(),
-                        },
-                        SnapshotDefect::ChecksumMismatch => RuntimeError::CorruptSnapshot {
-                            worker: self.w,
-                            tensor: self.sharded.graph.tensor(t).name.clone(),
-                        },
-                    });
-                }
+            if let Err((t, defect)) =
+                scan_snapshot(&self.values, &self.value_sums, &self.scan_floor, pos)
+            {
+                return Err(match defect {
+                    SnapshotDefect::NonFinite => RuntimeError::PoisonedCheckpoint {
+                        worker: self.w,
+                        node: self
+                            .sharded
+                            .graph
+                            .producer(t)
+                            .map(|n| self.sharded.graph.node(n).name.clone()),
+                        tensor: self.sharded.graph.tensor(t).name.clone(),
+                    },
+                    SnapshotDefect::ChecksumMismatch => RuntimeError::CorruptSnapshot {
+                        worker: self.w,
+                        tensor: self.sharded.graph.tensor(t).name.clone(),
+                    },
+                });
             }
             let mut to_persist = Vec::new();
             let sink = {
@@ -1183,7 +1179,7 @@ impl<'a> Worker<'a> {
                     buf.counter("pool bytes", e_us, pool_now);
                 }
             }
-            if self.poison_check {
+            if self.store.is_some() {
                 self.value_sums.insert(node.output, payload_checksum(out.data()));
             }
             self.values.insert(node.output, Arc::new(out));
@@ -1232,7 +1228,8 @@ impl<'a> Worker<'a> {
                     self.w, r.tensor
                 ))
             })?;
-            extract_piece_into(src, &r.piece, &mut buf)?;
+            append_block(&mut buf, src.data(), src.shape().dims(), &r.piece.src_begin, &r.piece.len)
+                .map_err(|e| RuntimeError::Internal(format!("piece extraction: {e}")))?;
         }
         let dims: Vec<usize> = r.piece.len.iter().map(|&l| l.max(0) as usize).collect();
         let mut piece = self.slab.seal(Shape::new(dims), buf);
@@ -1331,9 +1328,13 @@ impl<'a> Worker<'a> {
         let plan = routes.fetches[pos]
             .as_ref()
             .ok_or_else(|| RuntimeError::Internal("assemble on non-fetch node".into()))?;
-        let node = self.sharded.graph.node(id);
-        let out_shape = self.sharded.graph.tensor(node.output).shape.clone();
-        let mut out = Tensor::zeros(out_shape);
+        let graph = &self.sharded.graph;
+        let out_shape = &graph.tensor(graph.node(id).output).shape;
+        let dims = out_shape.dims();
+        let mut out = Tensor::zeros(out_shape.clone());
+        let w = self.w;
+        let misplaced =
+            |i: usize, e| RuntimeError::Internal(format!("worker {w}: fetch piece {i}: {e}"));
         for (i, input) in plan.inputs.iter().enumerate() {
             let p = &input.piece;
             match input.source {
@@ -1344,7 +1345,10 @@ impl<'a> Worker<'a> {
                             self.w
                         ))
                     })?;
-                    copy_block(&mut out, src.as_ref(), &p.src_begin, &p.dst_begin, &p.len);
+                    let (data, src_dims) = (src.data(), src.shape().dims());
+                    let buf = out.data_mut();
+                    copy_block(buf, dims, data, src_dims, &p.src_begin, &p.dst_begin, &p.len)
+                        .map_err(|e| misplaced(i, e))?;
                 }
                 FetchSource::Remote { slot } => {
                     // Time the blocking receive separately so a trace splits
@@ -1361,7 +1365,10 @@ impl<'a> Worker<'a> {
                     self.bytes_received += piece.bytes();
                     // The producer already extracted the block: source
                     // offsets are zero in the received piece's coordinates.
-                    copy_piece_block(&mut out, &piece, &p.dst_begin, &p.len);
+                    let (data, src_dims) = (piece.data(), piece.shape().dims());
+                    let zeros = vec![0; p.len.len()];
+                    copy_block(out.data_mut(), dims, data, src_dims, &zeros, &p.dst_begin, &p.len)
+                        .map_err(|e| misplaced(i, e))?;
                 }
             }
         }
@@ -1506,165 +1513,6 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Row-major strides for `dims` (innermost stride 1).
-fn row_major_strides(dims: &[usize]) -> Vec<usize> {
-    let mut strides = vec![1usize; dims.len()];
-    for d in (0..dims.len().saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * dims[d + 1];
-    }
-    strides
-}
-
-/// Slices the block `[src_begin, src_begin + len)` of `src` into `out`,
-/// appending rows with `extend_from_slice`. `out` should arrive empty with
-/// capacity for the whole block — the send path reuses slab buffers here, so
-/// extraction never clones the source tensor.
-fn extract_piece_into(src: &Tensor, p: &FetchPiece, out: &mut Vec<f32>) -> Result<()> {
-    let dims = src.shape().dims().to_vec();
-    if p.src_begin.len() != dims.len() || p.len.len() != dims.len() {
-        return Err(RuntimeError::Internal(format!(
-            "piece extraction: rank mismatch (tensor rank {}, piece rank {})",
-            dims.len(),
-            p.len.len()
-        )));
-    }
-    for (d, (&b, &l)) in p.src_begin.iter().zip(&p.len).enumerate() {
-        if b < 0 || l < 0 || (b + l) as usize > dims[d] {
-            return Err(RuntimeError::Internal(format!(
-                "piece extraction: block [{b}, {}) exceeds dimension {d} of extent {}",
-                b + l,
-                dims[d]
-            )));
-        }
-    }
-    let data = src.data();
-    let rank = dims.len();
-    if rank == 0 {
-        out.push(data[0]);
-        return Ok(());
-    }
-    if p.len.contains(&0) {
-        return Ok(());
-    }
-    let strides = src.shape().strides();
-    let row = p.len[rank - 1] as usize;
-    let mut off: usize = p.src_begin.iter().zip(&strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut idx = vec![0usize; rank - 1];
-    'rows: loop {
-        out.extend_from_slice(&data[off..off + row]);
-        // Odometer over the outer dimensions.
-        let mut d = rank - 1;
-        while d > 0 {
-            d -= 1;
-            idx[d] += 1;
-            off += strides[d];
-            if idx[d] < p.len[d] as usize {
-                continue 'rows;
-            }
-            idx[d] = 0;
-            off -= strides[d] * p.len[d] as usize;
-        }
-        break;
-    }
-    Ok(())
-}
-
-/// Slices the block `[src_begin, src_begin + len)` out of `src` into a
-/// freshly shaped tensor. Copies only the block — never the whole source.
-pub fn extract_piece(src: &Tensor, p: &FetchPiece) -> Result<Tensor> {
-    let volume: usize = p.len.iter().map(|&l| l.max(0) as usize).product();
-    let mut out = Vec::with_capacity(volume);
-    extract_piece_into(src, p, &mut out)?;
-    let dims: Vec<usize> = p.len.iter().map(|&l| l.max(0) as usize).collect();
-    Tensor::from_vec(Shape::new(dims), out)
-        .map_err(|e| RuntimeError::Internal(format!("piece extraction: {e}")))
-}
-
-/// The shared row-copy core of [`copy_block`] / [`copy_piece_block`]: moves
-/// the `len`-sized block at `src_begin` of the `src_strides`-shaped buffer to
-/// `dst_begin` of the `dst_strides`-shaped one, one contiguous innermost row
-/// per `copy_from_slice`.
-fn copy_block_raw(
-    dst: &mut [f32],
-    dst_strides: &[usize],
-    src: &[f32],
-    src_strides: &[usize],
-    src_begin: &[i64],
-    dst_begin: &[i64],
-    len: &[i64],
-) {
-    let rank = len.len();
-    if rank == 0 {
-        let dst_off: usize = dst_begin.iter().zip(dst_strides).map(|(&b, &s)| b as usize * s).sum();
-        let src_off: usize = src_begin.iter().zip(src_strides).map(|(&b, &s)| b as usize * s).sum();
-        dst[dst_off] = src[src_off];
-        return;
-    }
-    if len.iter().any(|&l| l <= 0) {
-        return;
-    }
-    let row = len[rank - 1] as usize;
-    let mut src_off: usize = src_begin.iter().zip(src_strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut dst_off: usize = dst_begin.iter().zip(dst_strides).map(|(&b, &s)| b as usize * s).sum();
-    let mut idx = vec![0usize; rank - 1];
-    'rows: loop {
-        dst[dst_off..dst_off + row].copy_from_slice(&src[src_off..src_off + row]);
-        // Odometer over the outer dimensions.
-        let mut d = rank - 1;
-        while d > 0 {
-            d -= 1;
-            idx[d] += 1;
-            src_off += src_strides[d];
-            dst_off += dst_strides[d];
-            if idx[d] < len[d] as usize {
-                continue 'rows;
-            }
-            idx[d] = 0;
-            src_off -= src_strides[d] * len[d] as usize;
-            dst_off -= dst_strides[d] * len[d] as usize;
-        }
-        break;
-    }
-}
-
-/// Copies the `len`-sized block at `src_begin` of `src` to `dst_begin` of
-/// `dst`. Both tensors are dense row-major, so the block's innermost
-/// dimension is contiguous in both and is moved with one slice copy per row
-/// (this is the hot path of every `multi_fetch` assembly).
-///
-/// The block must lie within both tensors' bounds; offsets and extents are
-/// element counts per dimension, matching [`FetchPiece`]'s encoding.
-pub fn copy_block(dst: &mut Tensor, src: &Tensor, src_begin: &[i64], dst_begin: &[i64], len: &[i64]) {
-    let src_strides = src.shape().strides();
-    let dst_strides = dst.shape().strides();
-    copy_block_raw(
-        dst.data_mut(),
-        &dst_strides,
-        src.data(),
-        &src_strides,
-        src_begin,
-        dst_begin,
-        len,
-    );
-}
-
-/// Copies a received piece (a whole extracted block, offsets zero in its own
-/// coordinates) into `dst` at `dst_begin`.
-fn copy_piece_block(dst: &mut Tensor, piece: &PieceRef, dst_begin: &[i64], len: &[i64]) {
-    let src_strides = row_major_strides(piece.shape().dims());
-    let dst_strides = dst.shape().strides();
-    let zeros = vec![0i64; len.len()];
-    copy_block_raw(
-        dst.data_mut(),
-        &dst_strides,
-        piece.data(),
-        &src_strides,
-        &zeros,
-        dst_begin,
-        len,
-    );
-}
-
 #[cfg(test)]
 mod snapshot_guard_tests {
     use super::*;
@@ -1720,7 +1568,7 @@ mod snapshot_guard_tests {
 
     #[test]
     fn missing_sum_only_checks_finiteness() {
-        // poison_check runs without recorded sums for resumed values.
+        // The poison scan runs without recorded sums for resumed values.
         let values: BTreeMap<TensorId, Arc<Tensor>> = [(TensorId(0), arc(vec![4.0]))].into();
         assert_eq!(scan_snapshot(&values, &BTreeMap::new(), &[10], 5), Ok(()));
     }

@@ -1,12 +1,14 @@
-//! Property tests for the block-copy primitives behind `multi_fetch`
-//! assembly: extracting a piece and copying it into a destination block must
-//! round-trip exactly, over random shapes, offsets and extents — and must
-//! never touch destination elements outside the block.
+//! Property tests for the block copy behind every `multi_fetch` assembly,
+//! piece extraction and scatter/gather (`tofu_tensor::{copy_block,
+//! append_block}`): extracting a piece and copying it into a destination
+//! block must round-trip exactly, over random ranks 0 through 4, shapes,
+//! offsets and extents (zero-length ones included) — and must never touch
+//! destination elements outside the block. A block that does not fit is a
+//! typed error that leaves the destination untouched.
 
 use proptest::prelude::*;
-use tofu_core::FetchPiece;
-use tofu_runtime::{copy_block, extract_piece, FaultRng};
-use tofu_tensor::{Shape, Tensor};
+use tofu_runtime::FaultRng;
+use tofu_tensor::{append_block, copy_block, Shape, Tensor, TensorError};
 
 /// Numbers every element so any misplaced copy is visible.
 fn sequential(shape: Shape) -> Tensor {
@@ -14,54 +16,54 @@ fn sequential(shape: Shape) -> Tensor {
     Tensor::from_vec(shape, (0..n).map(|i| i as f32 + 1.0).collect()).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+/// A uniform draw from `0..=n`.
+fn upto(rng: &mut FaultRng, n: usize) -> usize {
+    rng.below(n as u64 + 1) as usize
+}
 
-    /// extract_piece followed by copy_block places exactly the source block
+/// A random start for a `len` block inside `dims`.
+fn place(rng: &mut FaultRng, dims: &[usize], len: &[i64]) -> Vec<i64> {
+    dims.iter().zip(len).map(|(&d, &l)| upto(rng, d - l as usize) as i64).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// append_block followed by copy_block places exactly the source block
     /// at the destination offset, and copy_block straight from the source
     /// agrees with it.
     #[test]
     fn block_copy_round_trips(
-        src_dims in prop::collection::vec(1usize..6, 1..4),
+        src_dims in prop::collection::vec(0usize..6, 0..5),
         seed in 0u64..1_000_000_000,
     ) {
         let mut rng = FaultRng::new(seed);
         let rank = src_dims.len();
-        // A block inside the source, and a destination with per-dimension
-        // slack so the block lands at a random interior offset.
-        let len: Vec<i64> =
-            src_dims.iter().map(|&d| 1 + rng.below(d as u64) as i64).collect();
-        let src_begin: Vec<i64> = src_dims
-            .iter()
-            .zip(&len)
-            .map(|(&d, &l)| rng.below(d as u64 - l as u64 + 1) as i64)
-            .collect();
-        let dst_dims: Vec<usize> =
-            len.iter().map(|&l| l as usize + rng.below(4) as usize).collect();
-        let dst_begin: Vec<i64> = dst_dims
-            .iter()
-            .zip(&len)
-            .map(|(&d, &l)| rng.below(d as u64 - l as u64 + 1) as i64)
-            .collect();
+        // A block inside the source (possibly empty along any axis), and a
+        // destination with per-dimension slack so the block lands at a
+        // random interior offset.
+        let len: Vec<i64> = src_dims.iter().map(|&d| upto(&mut rng, d) as i64).collect();
+        let src_begin = place(&mut rng, &src_dims, &len);
+        let dst_dims: Vec<usize> = len.iter().map(|&l| l as usize + upto(&mut rng, 3)).collect();
+        let dst_begin = place(&mut rng, &dst_dims, &len);
 
         let src = sequential(Shape::new(src_dims.clone()));
-        let piece = FetchPiece {
-            src_begin: src_begin.clone(),
-            dst_begin: dst_begin.clone(),
-            len: len.clone(),
-        };
+        let block = Shape::new(len.iter().map(|&l| l as usize).collect());
 
         // Path 1: extract then copy (what a remote fetch does).
-        let extracted = extract_piece(&src, &piece).unwrap();
-        let len_usize: Vec<usize> = len.iter().map(|&l| l as usize).collect();
-        prop_assert_eq!(extracted.shape().dims(), len_usize.as_slice());
+        let mut extracted = Vec::new();
+        append_block(&mut extracted, src.data(), &src_dims, &src_begin, &len).unwrap();
+        prop_assert_eq!(extracted.len(), block.volume());
         let mut via_extract = Tensor::zeros(Shape::new(dst_dims.clone()));
         let zeros = vec![0i64; rank];
-        copy_block(&mut via_extract, &extracted, &zeros, &dst_begin, &len);
+        copy_block(
+            via_extract.data_mut(), &dst_dims, &extracted, block.dims(), &zeros, &dst_begin, &len,
+        ).unwrap();
 
         // Path 2: copy straight out of the source (what a local fetch does).
         let mut direct = Tensor::zeros(Shape::new(dst_dims.clone()));
-        copy_block(&mut direct, &src, &src_begin, &dst_begin, &len);
+        let (dst, data) = (direct.data_mut(), src.data());
+        copy_block(dst, &dst_dims, data, &src_dims, &src_begin, &dst_begin, &len).unwrap();
 
         for idx in Shape::new(dst_dims.clone()).indices() {
             let inside = idx.iter().enumerate().all(|(d, &i)| {
@@ -88,5 +90,51 @@ proptest! {
                 idx
             );
         }
+    }
+
+    /// A block overrunning one axis of the source — even where the flat
+    /// offsets stay inside the buffer — is a typed error naming that axis,
+    /// and neither form writes anything first. A rank mismatch is an error
+    /// too.
+    #[test]
+    fn out_of_bounds_block_is_a_typed_error(
+        src_dims in prop::collection::vec(1usize..6, 1..5),
+        seed in 0u64..1_000_000_000,
+    ) {
+        let mut rng = FaultRng::new(seed);
+        let rank = src_dims.len();
+        let axis = upto(&mut rng, rank - 1);
+        let src_begin: Vec<i64> = src_dims.iter().map(|&d| upto(&mut rng, d - 1) as i64).collect();
+        let mut len: Vec<i64> =
+            src_dims.iter().zip(&src_begin).map(|(&d, &b)| d as i64 - b).collect();
+        len[axis] += 1;
+        let src = sequential(Shape::new(src_dims.clone()));
+        // Room for the overrun in the destination: only the source is wrong.
+        let dst_dims: Vec<usize> = len.iter().map(|&l| l as usize).collect();
+        let zeros = vec![0i64; rank];
+
+        let mut dst = Tensor::zeros(Shape::new(dst_dims.clone()));
+        let (buf, data) = (dst.data_mut(), src.data());
+        let err =
+            copy_block(buf, &dst_dims, data, &src_dims, &src_begin, &zeros, &len).unwrap_err();
+        prop_assert!(
+            matches!(err, TensorError::BlockOutOfBounds { axis: a, .. } if a == axis),
+            "copy_block: expected axis {} out of bounds, got {:?}", axis, err
+        );
+        prop_assert!(dst.data().iter().all(|&v| v == 0.0), "copy_block wrote before failing");
+
+        let mut out = vec![-1.0f32];
+        let err = append_block(&mut out, src.data(), &src_dims, &src_begin, &len).unwrap_err();
+        prop_assert!(
+            matches!(err, TensorError::BlockOutOfBounds { axis: a, .. } if a == axis),
+            "append_block: expected axis {} out of bounds, got {:?}", axis, err
+        );
+        prop_assert_eq!(out, vec![-1.0f32], "append_block wrote before failing");
+
+        let mut deeper = len.clone();
+        deeper.push(1);
+        let err =
+            append_block(&mut Vec::new(), src.data(), &src_dims, &zeros, &deeper).unwrap_err();
+        prop_assert!(matches!(err, TensorError::Incompatible(_)), "rank mismatch: {:?}", err);
     }
 }

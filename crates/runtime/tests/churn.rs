@@ -10,7 +10,7 @@ use tofu_core::{generate, partition, GenOptions, PartitionOptions, SearchCaches}
 use tofu_graph::{Graph, TensorId, TensorKind};
 use tofu_models::{mlp, MlpConfig};
 use tofu_runtime::{
-    gather_shards, resume_from_snapshot, run_with_elastic_recovery, run_with_options,
+    resume_from_snapshot, run_with_elastic_recovery, run_with_options,
     CheckpointPolicy, ChurnPlan, ElasticPolicy, ElasticReport, FaultPlan, RecoveryOptions,
     RunOptions, RuntimeError, TransitionKind,
 };
@@ -113,10 +113,9 @@ fn gathered_originals(report: &ElasticReport) -> BTreeMap<TensorId, Tensor> {
     let mut out = BTreeMap::new();
     for (&t, shards) in &report.sharded.shards {
         if shards.iter().all(|s| report.output.values.contains_key(s)) {
-            out.insert(
-                t,
-                gather_shards(&report.sharded, t, &report.output.values).expect("gather"),
-            );
+            let sg = &report.sharded;
+            let shape = sg.full_shape(t).expect("full shape");
+            out.insert(t, sg.gather(t, &shape, &report.output.values).expect("gather"));
         }
     }
     out

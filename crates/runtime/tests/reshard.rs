@@ -6,10 +6,11 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tofu_core::{generate, partition, GenOptions, PartitionOptions, ShardedGraph};
+use tofu_core::{generate, partition, CoreError, GenOptions, PartitionOptions, ShardedGraph};
 use tofu_models::{mlp, MlpConfig};
-use tofu_runtime::{gather_shards, scatter_full, FullSnapshot};
-use tofu_tensor::Tensor;
+use tofu_graph::{GraphError, TensorKind};
+use tofu_runtime::{resume_from_snapshot, FullSnapshot, RunOptions, RuntimeError};
+use tofu_tensor::{Shape, Tensor, TensorError};
 
 /// An MLP whose batch (840 = lcm 1..8) is divisible by every tested width,
 /// so a feasible split exists for worker counts 2 through 8 — including the
@@ -29,7 +30,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// scatter_full → gather_shards round-trips bit-identically under the
+    /// scatter → gather round-trips bit-identically under the
     /// source plan AND through a second plan at a different worker count,
     /// for every original tensor of the graph, conserving total bytes.
     #[test]
@@ -47,10 +48,10 @@ proptest! {
 
             // Within-plan round trip.
             let mut values = BTreeMap::new();
-            for (shard, piece) in scatter_full(&old, t, &full).unwrap() {
+            for (shard, piece) in old.scatter(t, &full).unwrap() {
                 values.insert(shard, piece);
             }
-            let back = gather_shards(&old, t, &values).unwrap();
+            let back = old.gather(t, full.shape(), &values).unwrap();
             prop_assert_eq!(back.shape(), full.shape(), "tensor {:?} changed shape", t);
             prop_assert_eq!(
                 back.shape().bytes(),
@@ -62,10 +63,10 @@ proptest! {
             // Cross-plan: reshard the gathered value onto the other width
             // and reassemble there.
             let mut values_new = BTreeMap::new();
-            for (shard, piece) in scatter_full(&new, t, &back).unwrap() {
+            for (shard, piece) in new.scatter(t, &back).unwrap() {
                 values_new.insert(shard, piece);
             }
-            let across = gather_shards(&new, t, &values_new).unwrap();
+            let across = new.gather(t, full.shape(), &values_new).unwrap();
             prop_assert_eq!(
                 bits(&across),
                 bits(&full),
@@ -120,5 +121,50 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// A snapshot whose value does not have its tensor's full shape is refused
+/// with a typed shape mismatch before any worker starts — whether the value
+/// is too small to hold the shards (a `[1, d]` batch) or has extra columns
+/// a strided copy would silently misread.
+#[test]
+fn mis_shaped_snapshot_is_refused() {
+    let (g, sharded) = sharded_at(2);
+    // A leaf the plan actually splits.
+    let (&t, _) = sharded
+        .regions
+        .iter()
+        .find(|(t, regions)| {
+            g.tensor(**t).kind != TensorKind::Intermediate && regions[0] != regions[1]
+        })
+        .expect("some leaf is split across the two workers");
+    let dims = g.tensor(t).shape.dims().to_vec();
+    let leaves = |bad: &Shape| -> BTreeMap<_, _> {
+        g.tensor_ids()
+            .filter(|&id| g.tensor(id).kind != TensorKind::Intermediate)
+            .map(|id| {
+                let shape = if id == t { bad.clone() } else { g.tensor(id).shape.clone() };
+                (id, Tensor::random(shape, 7, 1.0))
+            })
+            .collect()
+    };
+    let mut narrow = dims.clone();
+    narrow[0] = 1;
+    let mut wide = dims.clone();
+    *wide.last_mut().unwrap() += 3;
+    for bad in [Shape::new(narrow), Shape::new(wide)] {
+        let snap = FullSnapshot { ckpt: 1, every: 1, tensors: leaves(&bad) };
+        let err = resume_from_snapshot(&sharded, &[], &RunOptions::default(), &snap)
+            .expect_err("a mis-shaped snapshot must not resume");
+        assert!(
+            matches!(
+                err,
+                RuntimeError::Core(CoreError::Graph(GraphError::Tensor(
+                    TensorError::ShapeMismatch { .. }
+                )))
+            ),
+            "{bad}: expected a typed shape mismatch, got {err}"
+        );
     }
 }

@@ -39,6 +39,17 @@ pub enum TensorError {
         /// Extent of the sliced dimension.
         extent: usize,
     },
+    /// A block copy's `[begin, begin + len)` range does not fit an axis.
+    BlockOutOfBounds {
+        /// The offending axis.
+        axis: usize,
+        /// Block start on that axis.
+        begin: i64,
+        /// Block extent on that axis.
+        len: i64,
+        /// Extent of the buffer's axis.
+        extent: usize,
+    },
     /// An operation's shape requirements are violated (free-form detail).
     Incompatible(String),
 }
@@ -58,6 +69,11 @@ impl fmt::Display for TensorError {
             TensorError::InvalidSlice { start, end, extent } => {
                 write!(f, "invalid slice [{start}, {end}) for extent {extent}")
             }
+            TensorError::BlockOutOfBounds { axis, begin, len, extent } => write!(
+                f,
+                "block [{begin}, {}) exceeds axis {axis} of extent {extent}",
+                begin.saturating_add(*len)
+            ),
             TensorError::Incompatible(msg) => write!(f, "incompatible operands: {msg}"),
         }
     }
@@ -80,6 +96,8 @@ mod tests {
         assert!(e.to_string().contains("axis 5"));
         let e = TensorError::InvalidSlice { start: 1, end: 9, extent: 4 };
         assert!(e.to_string().contains("extent 4") || e.to_string().contains('4'));
+        let e = TensorError::BlockOutOfBounds { axis: 1, begin: 2, len: 3, extent: 4 };
+        assert!(e.to_string().contains("[2, 5)") && e.to_string().contains("axis 1"));
         let e = TensorError::Incompatible("matmul inner dims".into());
         assert!(e.to_string().contains("matmul"));
     }

@@ -4,8 +4,10 @@
 //! builds on: [`Shape`] arithmetic, a row-major dense [`Tensor`] of `f32`
 //! values, and naive-but-correct CPU kernels for every operator registered in
 //! `tofu-graph` (element-wise math, matrix multiplication, 1-D and 2-D
-//! convolution, pooling, reductions, softmax, and the slicing/concatenation
-//! primitives that partitioned graphs use to move data between workers).
+//! convolution, pooling, reductions, softmax, and slicing/concatenation),
+//! plus the one bounds-checked strided block copy ([`copy_block`],
+//! [`append_block`]) through which partitioned graphs move data between
+//! workers.
 //!
 //! The kernels exist to *validate* partitioned execution — Tofu's claim is
 //! that a partitioned dataflow graph computes exactly what the original graph
@@ -26,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 mod conv;
 mod elementwise;
 mod error;
@@ -36,6 +39,7 @@ mod reduce;
 mod shape;
 mod tensor;
 
+pub use block::{append_block, copy_block};
 pub use conv::{Conv1dParams, Conv2dParams, PoolKind, PoolParams};
 pub use error::TensorError;
 pub use random::global_seed;

@@ -72,11 +72,7 @@ impl Shape {
 
     /// Returns row-major strides (in elements) for this shape.
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.rank()];
-        for i in (0..self.rank().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
+        row_major_strides(&self.0)
     }
 
     /// Converts a multi-dimensional index to a flat row-major offset.
@@ -133,6 +129,15 @@ impl Shape {
     pub fn indices(&self) -> IndexIter {
         IndexIter { shape: self.0.clone(), next: Some(vec![0; self.rank()]), empty: self.volume() == 0 }
     }
+}
+
+/// Row-major strides (in elements) of a buffer laid out as `dims`.
+pub(crate) fn row_major_strides(dims: &[usize]) -> Vec<usize> {
+    let mut strides = vec![1usize; dims.len()];
+    for i in (0..dims.len().saturating_sub(1)).rev() {
+        strides[i] = strides[i + 1] * dims[i + 1];
+    }
+    strides
 }
 
 impl fmt::Display for Shape {

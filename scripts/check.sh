@@ -6,9 +6,10 @@ cd "$(dirname "$0")/.."
 
 cargo clippy --workspace --all-targets -- -D warnings
 # The repo benchmark (perfbench/) is a workspace of its own, so neither the
-# clippy pass above nor the workspace tests build it; check it explicitly so
-# an API change that breaks the benchmark fails here.
-cargo check --offline --manifest-path perfbench/Cargo.toml
+# clippy pass above nor the workspace tests build it; build and run its unit
+# tests explicitly so an API change that breaks the benchmark (or changes
+# what its adapter computes) fails here.
+cargo test --offline --manifest-path perfbench/Cargo.toml
 cargo build --release
 # The fault suite must abort runs in milliseconds; a hang here means the
 # fail-fast path regressed, so cap it hard rather than stalling CI. The
